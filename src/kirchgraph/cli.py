@@ -139,7 +139,6 @@ def cmd_enumerate(args) -> int:
     config = SearchConfig(
         m_max=args.m_max,
         prune_negative_sum=not args.no_negative_sum_prune,
-        cut_order=args.cut_order,
         node_limit=args.node_limit,
         workers=args.workers,
     )
@@ -281,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classify-prime", action="store_true")
     p.add_argument("--no-negative-sum-prune", action="store_true")
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--cut-order", choices=("lex", "norm"), default="lex")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="re-check every graph in a document")

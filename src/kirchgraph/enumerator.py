@@ -5,10 +5,11 @@ cut from the bounded cut list.  Assigning a cut adds exactly the missing
 net edge copies at that vertex; the far endpoints join a FIFO to-do list
 when their own accumulated cuts fall outside the row space.  A pending
 vertex whose cut has meanwhile become a row-space member is skipped;
-otherwise each cut from the list is tried in turn and exhausting the
-list backtracks.  When nothing is pending, the accumulated edges form a
-candidate graph; candidates passing both Kirchhoff conditions with
-uniform per-vector counts are collected, deduplicated up to translation.
+otherwise every cut from the list that fits the multiplicity box (see
+``Search``) is tried in list order, and exhausting them backtracks.
+When nothing is pending, the accumulated edges form a candidate graph;
+candidates passing both Kirchhoff conditions with uniform per-vector
+counts are collected, deduplicated up to translation.
 
 Two prunes keep the tree finite and small: no per-vector edge count may
 exceed ``m_max``, and (on by default) no vertex may be created at
@@ -43,28 +44,19 @@ from kirchgraph.vgraph import VectorGraph
 
 Coord = tuple[int, ...]
 
-CUT_ORDERS = ("lex", "norm")
-
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds and toggles for one enumeration run.
-
-    cut_order only affects traversal order (and therefore timing);
-    the emitted graph set is identical for every ordering.
-    """
+    """Bounds and toggles for one enumeration run."""
 
     m_max: int
     prune_negative_sum: bool = True
-    cut_order: str = "lex"
     node_limit: int | None = None
     workers: int = 1
 
     def __post_init__(self):
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
-        if self.cut_order not in CUT_ORDERS:
-            raise ValueError(f"cut_order must be one of {CUT_ORDERS}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -89,17 +81,14 @@ class SearchStats:
 
 
 def cut_list(sys: RowSystem, config: SearchConfig) -> list[tuple[int, ...]]:
-    """The assignment list: all bounded row-space cuts in the configured order.
+    """The assignment list: all bounded row-space cuts, sorted lexicographically.
 
     The zero cut stays on the list.  Assigning it to a pending vertex adds
     the net edges that cancel the accumulated cut there, which is how
     pass-through vertices (nonzero degree, zero cut) get built.  Only the
     anchor skips it, since a zero anchor cut stalls on the empty graph.
     """
-    cuts = list(enumerate_bounded_cuts(sys, config.m_max))
-    if config.cut_order == "norm":
-        cuts.sort(key=lambda c: (sum(abs(x) for x in c), c))
-    return cuts
+    return enumerate_bounded_cuts(sys, config.m_max)
 
 
 class Search:
@@ -111,6 +100,14 @@ class Search:
     the recursion, ``run`` iterates anchor cuts.  Useful directly when a
     test wants to poke one assignment at a time; ``enumerate_kirchhoff``
     is the high-level entry point.
+
+    Moving vertex v from cut ``cur`` to target t adds |t_i - cur_i| copies
+    of vector i, so with r_i = m_max - counts[i] the targets within the
+    multiplicity cap form a box: cur_i - r_i <= t_i <= cur_i + r_i for
+    every i.  ``_le[i][x + m_max]`` and ``_ge[i][x + m_max]`` are bitmasks
+    over ``lam`` (bit j for ``lam[j]``) of the cuts with t_i <= x and
+    t_i >= x; ``_box_mask`` ANDs them, so ``_visit`` hands ``_apply`` only
+    the cuts inside the box, in list order.
     """
 
     def __init__(self, sys: RowSystem, config: SearchConfig):
@@ -122,7 +119,18 @@ class Search:
         self.m_max = config.m_max
         self.lam = cut_list(sys, config)
         self.anchor_cuts = [c for c in self.lam if any(c)]
-        self.rowset = frozenset(enumerate_bounded_cuts(sys, config.m_max))
+        self.rowset = frozenset(self.lam)
+        # every cut entry lies in [-m_max, m_max]
+        values = range(-self.m_max, self.m_max + 1)
+        self._all = (1 << len(self.lam)) - 1
+        self._le = [
+            [sum(1 << j for j, t in enumerate(self.lam) if t[i] <= x) for x in values]
+            for i in range(self.n)
+        ]
+        self._ge = [
+            [sum(1 << j for j, t in enumerate(self.lam) if t[i] >= x) for x in values]
+            for i in range(self.n)
+        ]
         self.stats = SearchStats()
         self.truncated = False
         self.found: dict[tuple, dict] = {}
@@ -166,16 +174,43 @@ class Search:
             return
         v = live[0]
         rest = live[1:]
-        for target in self.lam:
-            applied = self._apply(v, target, rest)
+        lam = self.lam
+        stats = self.stats
+        mask = self._box_mask(cuts[v])
+        # A live cut is not in lam, so every cut outside the box is one
+        # that would have failed _apply's multiplicity check.
+        stats.prunes_multiplicity += len(lam) - mask.bit_count()
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            j = low.bit_length() - 1
+            applied = self._apply(v, lam[j], rest)
             if applied is None:
                 continue
             child, undo = applied
             self._visit(child)
             self._undo(undo)
             if self.truncated:
+                # a truncated search never tries the cuts after lam[j]
+                stats.prunes_multiplicity -= len(lam) - 1 - j - mask.bit_count()
                 return
-        self.stats.backtracks += 1
+        stats.backtracks += 1
+
+    def _box_mask(self, cur) -> int:
+        """Bitmask over ``lam`` of the cuts a vertex with cut ``cur`` can
+        move to without any per-vector count exceeding ``m_max``.
+
+        |cur_i| <= counts[i], so both box bounds lie in [-m_max, m_max].
+        """
+        m = self.m_max
+        mask = self._all
+        for i, (c, k) in enumerate(zip(cur, self.counts)):
+            r = m - k
+            if c - r > -m:
+                mask &= self._ge[i][c - r + m]
+            if c + r < m:
+                mask &= self._le[i][c + r + m]
+        return mask
 
     def _apply(self, v: Coord, target, rest):
         """Add the net edges turning v's cut into target.

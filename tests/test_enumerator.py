@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirchgraph.enumerator import (
     Search,
     SearchConfig,
+    SearchStats,
     cut_list,
     enumerate_kirchhoff,
     min_multiplicity,
@@ -32,16 +35,11 @@ def test_cut_list_keeps_zero_and_sorts():
     lam = cut_list(sys, SearchConfig(m_max=2))
     assert (0, 0, 0, 0) in lam
     assert lam == sorted(lam)
-    by_norm = cut_list(sys, SearchConfig(m_max=2, cut_order="norm"))
-    assert sorted(by_norm) == lam
-    assert by_norm[0] == (0, 0, 0, 0)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(m_max=0)
-    with pytest.raises(ValueError):
-        SearchConfig(m_max=1, cut_order="random")
     with pytest.raises(ValueError):
         SearchConfig(m_max=1, workers=0)
 
@@ -49,8 +47,8 @@ def test_config_validation():
 # -- single assignments ---------------------------------------------------
 
 
-def fresh_search(sys, m_max=2):
-    s = Search(sys, SearchConfig(m_max=m_max))
+def fresh_search(sys, m_max=2, **options):
+    s = Search(sys, SearchConfig(m_max=m_max, **options))
     s.cuts = {(0,) * sys.k: (0,) * sys.n}
     s.edges = {}
     s.counts = [0] * sys.n
@@ -109,6 +107,34 @@ def test_undo_restores_state():
     assert s.cuts == {(0, 0): (0, 0, 0, 0)}
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["square", "triangle"]), st.integers(1, 4), st.data())
+def test_box_mask_yields_the_cuts_within_the_cap(which, m_max, data):
+    # Random valid _apply sequences; at every state the mask of each live
+    # vertex must list exactly the cuts the multiplicity cap admits, in
+    # list order.
+    sys = square_system() if which == "square" else triangle_system()
+    s = fresh_search(sys, m_max, prune_negative_sum=data.draw(st.booleans()))
+    lam, n = s.lam, sys.n
+
+    def within_cap(cur):
+        return [
+            t for t in lam
+            if t != cur and all(s.counts[i] + abs(t[i] - cur[i]) <= m_max for i in range(n))
+        ]
+
+    for _ in range(data.draw(st.integers(1, 8))):
+        v = data.draw(st.sampled_from(sorted(s.cuts)))
+        options = within_cap(s.cuts[v])
+        if not options:
+            break
+        s._apply(v, data.draw(st.sampled_from(options)), ())
+        for cur in s.cuts.values():
+            if cur not in s.rowset:
+                mask = s._box_mask(cur)
+                assert [t for j, t in enumerate(lam) if mask >> j & 1] == within_cap(cur)
+
+
 # -- full runs -------------------------------------------------------------
 
 
@@ -164,13 +190,6 @@ def test_monotone_in_m_max():
     assert set(keys(small)) <= set(keys(large))
 
 
-def test_cut_order_does_not_change_output():
-    sys = square_system()
-    lex, _ = enumerate_kirchhoff(sys, SearchConfig(m_max=2, cut_order="lex"))
-    norm, _ = enumerate_kirchhoff(sys, SearchConfig(m_max=2, cut_order="norm"))
-    assert keys(lex) == keys(norm)
-
-
 def test_negative_sum_prune_exact_at_minimal_multiplicity():
     for sys, m in ((triangle_system(), 1), (square_system(), 2)):
         pruned, _ = enumerate_kirchhoff(sys, SearchConfig(m_max=m))
@@ -180,11 +199,24 @@ def test_negative_sum_prune_exact_at_minimal_multiplicity():
 
 def test_negative_sum_prune_exact_at_paper_scale_censuses():
     # The costlier empirical probe: the full m* censuses of both larger
-    # systems come out identical with the prune disabled (~20s).
-    for rows in ([[2, 0, 1, 1], [0, 2, 3, 1]], [[1, 0, 2, 1], [0, 1, 1, 2]]):
+    # systems come out identical with the prune disabled (~5s).  The
+    # search counters are pinned too: a faster search core must walk the
+    # same tree.  Each tuple is (nodes, multiplicity prunes, negative-sum
+    # prunes, candidates, graphs, backtracks), pruned run first.
+    expected = (
+        ([[2, 0, 1, 1], [0, 2, 3, 1]],  # steep
+         (10512, 584989, 1915, 32, 16, 10480),
+         (177120, 9908630, 0, 178, 16, 176942)),
+        ([[1, 0, 2, 1], [0, 1, 1, 2]],  # shear
+         (7505, 417417, 2520, 7, 4, 7498),
+         (153294, 8582012, 0, 44, 4, 153250)),
+    )
+    for rows, pruned_stats, free_stats in expected:
         sys = build_row_system(rows)
-        pruned, _ = enumerate_kirchhoff(sys, SearchConfig(m_max=6))
-        free, _ = enumerate_kirchhoff(sys, SearchConfig(m_max=6, prune_negative_sum=False))
+        pruned, stats = enumerate_kirchhoff(sys, SearchConfig(m_max=6))
+        assert stats == SearchStats(*pruned_stats)
+        free, stats = enumerate_kirchhoff(sys, SearchConfig(m_max=6, prune_negative_sum=False))
+        assert stats == SearchStats(*free_stats)
         assert keys(pruned) == keys(free)
 
 
@@ -217,6 +249,10 @@ def test_node_limit_flags_incomplete():
     assert not stats.complete
     full = set(keys(enumerate_kirchhoff(square_system(), SearchConfig(m_max=2))[0]))
     assert set(keys(graphs)) <= full
+    # A truncated run counts only the multiplicity prunes of the cuts it
+    # reached before the limit.
+    _, stats = enumerate_kirchhoff(square_system(), SearchConfig(m_max=4, node_limit=1500))
+    assert stats == SearchStats(1501, 57507, 371, 50, 23, 1445, complete=False)
 
 
 def test_min_multiplicity():
