@@ -5,7 +5,7 @@ Everything runs on exact rationals; there is no floating point anywhere,
 so membership answers are decisions, not tolerances.
 """
 
-from kirchgraph import build_row_system, enumerate_bounded_cuts, in_null_space, in_row_space
+from kirchgraph import build_row_system, enumerate_bounded_cuts
 
 # The columns are the edge vectors.  s1 and s2 span the lattice; s3 and
 # s4 are the diagonals, so the dependency coefficients are half-integers
@@ -24,11 +24,11 @@ print("q =", square.q)
 # (1, 1, 1, 0) is a member even though no integer combination of the two
 # rows produces it: the coefficients are (1/2, 1/2).
 for probe in [(1, 1, 1, 0), (1, 0, 0, 0), (0, 0, 0, 0)]:
-    print(f"{probe} in Row(R):", in_row_space(probe, square))
+    print(f"{probe} in Row(R):", square.contains_in_row_space(probe))
 
 # Cycle vectors must lie in Null(R); closing a walk kills the geometry,
 # so this holds automatically for any closed walk on the lattice.
-print("(-1, 0, 1, 1) in Null(R):", in_null_space((-1, 0, 1, 1), square))
+print("(-1, 0, 1, 1) in Null(R):", square.contains_in_null_space((-1, 0, 1, 1)))
 
 # All integer row-space vectors within a sup-norm bound, in one scan of
 # the finite coefficient grid.  These are the cut candidates the

@@ -169,8 +169,6 @@ def cmd_verify(args) -> int:
         detail = ""
         if verdict.status == "bad_vertex":
             detail = f" at vertex {verdict.vertex} with cut {verdict.cut}"
-        elif verdict.status == "bad_cycle":
-            detail = f" with cycle vector {verdict.cycle}"
         elif verdict.status == "cycle_space_deficient":
             detail = f" (rank {verdict.rank_found} of {verdict.rank_required})"
         print(f"{entry['id']}: {verdict.status}{detail}")

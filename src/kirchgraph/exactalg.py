@@ -146,9 +146,11 @@ class RowSystem:
     @property
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Edge vectors as integer k-tuples (columns of R)."""
-        return tuple(tuple(row[j] for row in self.R) for j in range(self.n))
+        return self._columns
 
     def __post_init__(self):
+        # Edge vectors, read per edge by the graph code, built once.
+        object.__setattr__(self, "_columns", tuple(zip(*self.R)))
         # N columns as rows of N^T, precomputed for the hot membership test.
         object.__setattr__(
             self,
@@ -157,24 +159,16 @@ class RowSystem:
         )
 
     def contains_in_row_space(self, x) -> bool:
+        """True iff x is a rational combination of the rows of R (N^T x = 0)."""
         if len(x) != self.n:
             raise ValueError(f"expected length {self.n}, got {len(x)}")
         return all(sum(c * xi for c, xi in zip(col, x)) == 0 for col in self._nt)
 
     def contains_in_null_space(self, x) -> bool:
+        """True iff R x = 0."""
         if len(x) != self.n:
             raise ValueError(f"expected length {self.n}, got {len(x)}")
         return all(sum(r * xi for r, xi in zip(row, x)) == 0 for row in self.R)
-
-
-def in_row_space(x, sys: RowSystem) -> bool:
-    """True iff x is a rational combination of the rows of R (N^T x = 0)."""
-    return sys.contains_in_row_space(x)
-
-
-def in_null_space(x, sys: RowSystem) -> bool:
-    """True iff R x = 0."""
-    return sys.contains_in_null_space(x)
 
 
 def build_row_system(edge_matrix) -> RowSystem:

@@ -78,29 +78,6 @@ class TilingExpression:
                 acc = subtract(acc, p.graph, p.offset)
         return acc
 
-    def describe(self, names: dict | None = None) -> str:
-        """Textual form, e.g. ``1*G0@(0,0) + 1*G1@(1,1) - 1*G0@(2,2)``.
-
-        ``names`` maps labels to graphs; placements of unnamed graphs
-        print as ``G``.
-        """
-        parts = []
-        for i, p in enumerate(self.placements):
-            label = next(
-                (
-                    lbl
-                    for lbl, g in (names or {}).items()
-                    if g.equals_up_to_translation(p.graph)
-                ),
-                "G",
-            )
-            term = f"1*{label}@({','.join(str(x) for x in p.offset)})"
-            if i == 0:
-                parts.append(term if p.sign > 0 else f"- {term}")
-            else:
-                parts.append(("+ " if p.sign > 0 else "- ") + term)
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class PrimalityVerdict:
@@ -366,21 +343,26 @@ def span_contains(
     memo: set = set()
     committed = [0] * len(generators)  # per-generator sign, 0 while unused
 
+    # generator edges by vec_index, in generator order then item order
+    tails_by_index: dict[int, list[tuple[int, Coord]]] = {}
+    for gi, items in enumerate(gen_items):
+        for (pt, pi), _ in items:
+            tails_by_index.setdefault(pi, []).append((gi, pt))
+    # edge key -> in-window (gi, offset) alignments over it, computed once
+    aligned: dict[tuple[Coord, int], list[tuple[int, Coord]]] = {}
+
     def options_for(key, sign):
         """Aligned placements of a generator edge over key, honoring the
         one-coefficient-per-generator sign commitments."""
-        pos, idx = key
-        opts = []
-        for gi, items in enumerate(gen_items):
-            if committed[gi] == -sign:
-                continue
-            for (pt, pi), _ in items:
-                if pi != idx:
-                    continue
+        opts = aligned.get(key)
+        if opts is None:
+            pos, idx = key
+            opts = aligned[key] = []
+            for gi, pt in tails_by_index.get(idx, ()):
                 off = tuple(a - b for a, b in zip(pos, pt))
                 if within(off):
                     opts.append((gi, off))
-        return opts
+        return [(gi, off) for gi, off in opts if committed[gi] != -sign]
 
     def pick_mismatch():
         """Most-constrained pending key (fewest alignments), ties lex."""

@@ -12,8 +12,6 @@ from kirchgraph.exactalg import (
     ZeroRowInC,
     build_row_system,
     enumerate_bounded_cuts,
-    in_null_space,
-    in_row_space,
     rref,
     span_rank,
 )
@@ -151,26 +149,26 @@ def test_fractional_input_clears_denominators():
 
 def test_row_space_membership_examples():
     sys = square_system()
-    assert in_row_space([1, 1, 1, 0], sys)  # a = b = 1/2
-    assert in_row_space([0, 0, 0, 0], sys)
-    assert not in_row_space([1, 0, 0, 0], sys)
+    assert sys.contains_in_row_space([1, 1, 1, 0])  # a = b = 1/2
+    assert sys.contains_in_row_space([0, 0, 0, 0])
+    assert not sys.contains_in_row_space([1, 0, 0, 0])
 
 
 def test_null_space_membership_examples():
     sys = square_system()
     for j in range(sys.n - sys.k):
         col = [sys.N[i][j] for i in range(sys.n)]
-        assert in_null_space(col, sys)
-    assert in_null_space([-1, 0, 1, 1], sys)
-    assert not in_null_space([1, 0, 0, 0], sys)
+        assert sys.contains_in_null_space(col)
+    assert sys.contains_in_null_space([-1, 0, 1, 1])
+    assert not sys.contains_in_null_space([1, 0, 0, 0])
 
 
 def test_membership_length_mismatch():
     sys = square_system()
     with pytest.raises(ValueError):
-        in_row_space([1, 0], sys)
+        sys.contains_in_row_space([1, 0])
     with pytest.raises(ValueError):
-        in_null_space([1, 0], sys)
+        sys.contains_in_null_space([1, 0])
 
 
 def test_membership_agrees_with_direct_solve():
@@ -179,8 +177,8 @@ def test_membership_agrees_with_direct_solve():
         ncols = tuple(zip(*sys.N))
         for _ in range(1000):
             x = [rng.randint(-5, 5) for _ in range(sys.n)]
-            assert in_row_space(x, sys) == solve_membership(sys.R, x)
-            assert in_null_space(x, sys) == solve_membership(ncols, x)
+            assert sys.contains_in_row_space(x) == solve_membership(sys.R, x)
+            assert sys.contains_in_null_space(x) == solve_membership(ncols, x)
 
 
 # -- span_rank ----------------------------------------------------------
@@ -261,7 +259,7 @@ def test_cuts_closed_under_negation_and_members():
     cuts = enumerate_bounded_cuts(sys, 3)
     cutset = set(cuts)
     assert all(tuple(-x for x in c) in cutset for c in cuts)
-    assert all(in_row_space(c, sys) for c in cuts)
+    assert all(sys.contains_in_row_space(c) for c in cuts)
     assert sorted(cuts) == cuts
     for row in sys.R:
         assert row in cutset  # q = 2 <= 3

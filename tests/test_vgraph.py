@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kirchgraph.exactalg import build_row_system
+from kirchgraph.exactalg import build_row_system, span_rank
 from kirchgraph.vgraph import EdgeInstance, VectorGraph
 
 
@@ -168,6 +170,39 @@ def test_basis_spans_cycle_space_of_two_triangles():
     basis = g.cycle_basis()
     # 6 edges, 7 vertices? no: vertices {(0,0),(1,0),(1,1),(2,1),(2,2)} = 5, connected
     assert len(basis) == 6 - 5 + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["square", "triangle"]), st.data())
+def test_potential_cycle_vectors_match_the_walks(which, data):
+    # Random edge multisets with parallel copies, in two clusters far
+    # enough apart to give disconnected parts.
+    sys = square_system() if which == "square" else triangle_system()
+    edges = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 20]),
+                st.integers(-2, 2),
+                st.integers(-2, 2),
+                st.integers(0, sys.n - 1),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    g = VectorGraph(sys, [((base + x, y), idx, c) for base, x, y, idx, c in edges])
+    walked = [g.cycle_vector(w) for w in g.cycle_basis()]
+    assert all(sys.contains_in_null_space(chi) for chi in walked)
+    fast = g._basis_vectors
+    assert all(sys.contains_in_null_space(chi) for chi in fast)
+    assert list(fast) == sorted({chi for chi in walked if any(chi)})
+    assert span_rank(fast) == span_rank(walked)
+
+    def covered(chis):
+        return {i for chi in chis for i, x in enumerate(chi) if x}
+
+    assert covered(fast) == covered(walked)
 
 
 # -- Kirchhoff conditions -----------------------------------------------------
