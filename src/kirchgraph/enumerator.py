@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from kirchgraph.exactalg import RowSystem, enumerate_bounded_cuts
-from kirchgraph.vgraph import VectorGraph
+from kirchgraph.vgraph import KirchhoffVerdict, VectorGraph
 
 Coord = tuple[int, ...]
 
@@ -340,6 +340,8 @@ def enumerate_kirchhoff(
                 stats.merge(part_stats)
                 truncated = truncated or part_trunc
     graphs = [VectorGraph(sys, found[key]) for key in sorted(found)]
+    for graph in graphs:
+        graph._verdict = KirchhoffVerdict("ok")  # as Search._emit checked it
     stats.graphs_found = len(graphs)
     stats.complete = not truncated
     return graphs, stats

@@ -2,7 +2,14 @@
 
 Sums place a second graph's anchor (its canonical-form origin) at a
 lattice offset and merge edge multisets; differences remove an embedded
-translate.  On top of those two moves sit: subgraph-embedding search,
+translate.  The sum of two Kirchhoff graphs is Kirchhoff (the sum
+theorem): each vertex cut of the sum is the sum of the operands' cuts,
+so it stays in Row(R), and the sum's cycle space contains both
+operands' cycle spaces, so its cycle vectors still span Null(R).  A sum
+of verified operands therefore takes its verdict from the theorem; a sum
+with an unverified operand, and every difference, is checked.
+
+On top of those two moves sit: subgraph-embedding search,
 primality (no bipartition of the edges into two Kirchhoff parts),
 bounded span membership ("can the target be tiled from these
 generators?"), the arbitrarily-large prime family built from the two
@@ -18,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from kirchgraph.exactalg import build_row_system
-from kirchgraph.vgraph import Coord, VectorGraph
+from kirchgraph.exactalg import build_row_system, span_rank
+from kirchgraph.vgraph import Coord, KirchhoffVerdict, VectorGraph
 
 DEFAULT_COEFF_BOUND = 8
 DEFAULT_PRIME_BUDGET = 2_000_000
@@ -34,10 +41,6 @@ class SystemMismatch(TilingError):
 
 
 class NoEmbeddingAtOffset(TilingError):
-    pass
-
-
-class Vector2ConnectivityLost(TilingError):
     pass
 
 
@@ -95,12 +98,19 @@ def _shifted_items(g: VectorGraph, offset: Coord):
     return [((tuple(a + b for a, b in zip(t, off)), i), c) for (t, i), c in g.edge_items()]
 
 
+_KIRCHHOFF = ("ok", "trivial")
+
+
 def _verify(result: VectorGraph, context: str) -> VectorGraph:
+    """Raise KirchhoffViolation unless ``result`` is Kirchhoff or empty.
+
+    An "ok" verdict implies vector 2-connectivity: every row of
+    N = [C; -qI] is nonzero (no zero row of C), so cycle vectors that
+    span Null(R) cover every coordinate.
+    """
     verdict = result.is_kirchhoff()
-    if verdict.status not in ("ok", "trivial"):
+    if verdict.status not in _KIRCHHOFF:
         raise KirchhoffViolation(f"{context} produced a non-Kirchhoff graph: {verdict}")
-    if verdict.ok and not result.is_vector_2_connected():
-        raise Vector2ConnectivityLost(f"{context} lost vector 2-connectivity")
     return result
 
 
@@ -110,13 +120,22 @@ def add(g1: VectorGraph, g2: VectorGraph, offset: Coord) -> VectorGraph:
     g2 is re-anchored to its canonical origin before translating; g1 is
     used in place so that chains of placements share one absolute frame
     (pass g1.canonical() for the anchored-at-origin reading).
-    Multiplicity is additive; the result is verified Kirchhoff.
+    Multiplicity is additive; the result is Kirchhoff or KirchhoffViolation
+    is raised.  When both operands' (cached) verdicts are "ok" or
+    "trivial", the sum theorem gives the result's verdict without a
+    check: "trivial" if both are, else "ok".  Otherwise the sum is
+    verified.
     """
     _require_same_system(g1, g2)
     edges = dict(g1._edges)
     for key, c in _shifted_items(g2.canonical(), offset):
         edges[key] = edges.get(key, 0) + c
-    return _verify(VectorGraph(g1.system, edges), "sum")
+    result = VectorGraph(g1.system, edges)
+    s1, s2 = g1.is_kirchhoff().status, g2.is_kirchhoff().status
+    if s1 in _KIRCHHOFF and s2 in _KIRCHHOFF:
+        result._verdict = KirchhoffVerdict("trivial" if s1 == s2 == "trivial" else "ok")
+        return result
+    return _verify(result, "sum")
 
 
 def find_embeddings(host: VectorGraph, pattern: VectorGraph) -> list[Coord]:
@@ -169,9 +188,11 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
     Depth-first split with propagation: edges are assigned part by part
     in vertex order, and as soon as a vertex has all incident edges
     assigned, both parts' cuts there must lie in the row space or the
-    branch dies.  The first edge is pinned to part A to break the A/B
-    symmetry.  Exhausting the tree proves primality; ``budget`` caps the
-    node count, returning "unknown" when exceeded.
+    branch dies.  At a leaf every vertex has passed that test, so only
+    the rank of each part's cycle vectors is left to check.  The first
+    edge is pinned to part A to break the A/B symmetry.  Exhausting the
+    tree proves primality; ``budget`` caps the node count, returning
+    "unknown" when exceeded.
     """
     if graph.is_empty:
         raise ValueError("primality is defined for nonempty graphs")
@@ -207,9 +228,16 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
         b = tuple(t - x for t, x in zip(total_cut[vertices[vi]], a))
         return in_row(a) and in_row(b)
 
-    def split_rank_ok(part_counts) -> bool:
+    required = n - system.k
+
+    def kirchhoff_part(part_counts) -> VectorGraph | None:
+        """The part with these edge counts, if its cycle vectors span
+        Null(R); its cuts already passed ``vertex_ok``."""
         part = VectorGraph(system, {keys[i][0]: c for i, c in enumerate(part_counts) if c})
-        return part.is_kirchhoff().ok
+        if span_rank(part._basis_vectors) != required:
+            return None
+        part._verdict = KirchhoffVerdict("ok")
+        return part
 
     def search(ki: int) -> tuple[VectorGraph, VectorGraph] | None:
         nonlocal nodes
@@ -221,13 +249,12 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
             na = sum(assigned)
             if na == 0 or na == total:
                 return None
-            if not split_rank_ok(assigned):
+            part_a = kirchhoff_part(assigned)
+            if part_a is None:
                 return None
-            complement = [c - a for (_, c), a in zip(keys, assigned)]
-            if not split_rank_ok(complement):
+            part_b = kirchhoff_part([c - a for (_, c), a in zip(keys, assigned)])
+            if part_b is None:
                 return None
-            part_a = VectorGraph(system, {keys[i][0]: c for i, c in enumerate(assigned) if c})
-            part_b = VectorGraph(system, {keys[i][0]: c for i, c in enumerate(complement) if c})
             return part_a, part_b
         (tail, idx), count = keys[ki]
         head = tuple(a + b for a, b in zip(tail, cols[idx]))
@@ -269,6 +296,7 @@ class _BudgetExhausted(Exception):
 class SpanResult:
     status: str  # "yes" | "no_within_bounds"
     expression: TilingExpression | None = None
+    nodes: int = 0  # search nodes spent, over every deepening round
 
     @property
     def contained(self) -> bool:
@@ -342,44 +370,60 @@ def span_contains(
     demand = dict(target._edges)
     memo: set = set()
     committed = [0] * len(generators)  # per-generator sign, 0 while unused
+    nodes = 0
 
     # generator edges by vec_index, in generator order then item order
     tails_by_index: dict[int, list[tuple[int, Coord]]] = {}
     for gi, items in enumerate(gen_items):
         for (pt, pi), _ in items:
             tails_by_index.setdefault(pi, []).append((gi, pt))
-    # edge key -> in-window (gi, offset) alignments over it, computed once
+    # edge key -> in-window (gi, offset) alignments over it
     aligned: dict[tuple[Coord, int], list[tuple[int, Coord]]] = {}
+    # (key, sign, committed signs) -> the alignments those signs allow
+    options: dict[tuple, list[tuple[int, Coord]]] = {}
+    # (gi, offset) -> the placed copy's edge keys with counts
+    shifted: dict[tuple[int, Coord], list[tuple[tuple[Coord, int], int]]] = {}
 
-    def options_for(key, sign):
+    def options_for(key, sign, signs):
         """Aligned placements of a generator edge over key, honoring the
-        one-coefficient-per-generator sign commitments."""
-        opts = aligned.get(key)
-        if opts is None:
+        one-coefficient-per-generator sign commitments ``signs``; fills
+        the ``options`` cache."""
+        every = aligned.get(key)
+        if every is None:
             pos, idx = key
-            opts = aligned[key] = []
+            every = aligned[key] = []
             for gi, pt in tails_by_index.get(idx, ()):
                 off = tuple(a - b for a, b in zip(pos, pt))
                 if within(off):
-                    opts.append((gi, off))
-        return [(gi, off) for gi, off in opts if committed[gi] != -sign]
+                    every.append((gi, off))
+        opts = options[key, sign, signs] = [
+            (gi, off) for gi, off in every if signs[gi] != -sign
+        ]
+        return opts
 
-    def pick_mismatch():
-        """Most-constrained pending key (fewest alignments), ties lex."""
+    def pick_mismatch(signs):
+        """Most-constrained pending key: the least (max(#alignments, 1),
+        key), i.e. the first key in lex order with at most one alignment,
+        else the fewest alignments with ties lex."""
         best = None
-        for key in sorted(k_ for k_, c in demand.items() if c):
-            opts = options_for(key, 1 if demand[key] > 0 else -1)
-            if not opts:
-                return key, []
-            if best is None or len(opts) < len(best[1]):
-                best = (key, opts)
-                if len(opts) == 1:
-                    break
-        return best if best else (None, [])
+        for key, c in demand.items():
+            sign = 1 if c > 0 else -1
+            opts = options.get((key, sign, signs))
+            if opts is None:
+                opts = options_for(key, sign, signs)
+            rank = (len(opts) or 1, key)
+            if best is None or rank < best[0]:
+                best = (rank, key, opts)
+        return (best[1], best[2]) if best else (None, [])
 
     def apply_gen(gi, off, sign):
-        for (pt, pi), pc in gen_items[gi]:
-            key = (tuple(a + b for a, b in zip(pt, off)), pi)
+        placed = shifted.get((gi, off))
+        if placed is None:
+            placed = shifted[gi, off] = [
+                ((tuple(a + b for a, b in zip(pt, off)), pi), pc)
+                for (pt, pi), pc in gen_items[gi]
+            ]
+        for key, pc in placed:
             left = demand.get(key, 0) - sign * pc
             if left:
                 demand[key] = left
@@ -387,7 +431,10 @@ def span_contains(
                 demand.pop(key, None)
 
     def search(budget, placements):
-        key, opts = pick_mismatch()
+        nonlocal nodes
+        nodes += 1
+        signs = tuple(committed)
+        key, opts = pick_mismatch(signs)
         if key is None:
             return list(placements)
         if budget == 0 or not opts:
@@ -395,7 +442,7 @@ def span_contains(
         total_gap = sum(abs(c) for c in demand.values())
         if total_gap > budget * max_size:
             return None
-        state = (tuple(sorted(demand.items())), tuple(committed), budget)
+        state = (tuple(sorted(demand.items())), signs, budget)
         if state in memo:
             return None
         memo.add(state)
@@ -419,8 +466,12 @@ def span_contains(
         solution = search(budget, [])
         if solution is not None:
             break
+    # ``search`` refers to itself, so these closures form a reference cycle
+    # that lives until the next cyclic collection; free the memo, the bulk
+    # of it, now.
+    memo.clear()
     if solution is None:
-        return SpanResult("no_within_bounds")
+        return SpanResult("no_within_bounds", nodes=nodes)
     adds = [p for p in solution if p[2] > 0]
     subs = [p for p in solution if p[2] < 0]
     expr = TilingExpression(
@@ -432,7 +483,7 @@ def span_contains(
     built = expr.evaluate()
     if not built.equals_up_to_translation(target):
         raise AssertionError("span search returned a non-matching expression")
-    return SpanResult("yes", expr)
+    return SpanResult("yes", expr, nodes)
 
 
 # -- the arbitrarily-large prime family ----------------------------------

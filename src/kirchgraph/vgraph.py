@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub
 
 from kirchgraph.exactalg import RowSystem, span_rank
 
@@ -63,10 +64,6 @@ class KirchhoffVerdict:
 
 def _add(a: Coord, b: Coord) -> Coord:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub(a: Coord, b: Coord) -> Coord:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _neg(a: Coord) -> Coord:
@@ -127,9 +124,9 @@ class VectorGraph:
         return sorted(self._edges.items())
 
     def edges(self) -> list[tuple[EdgeInstance, int]]:
-        cols = self.system.columns
+        heads = self._heads
         return [
-            (EdgeInstance(tail, _add(tail, cols[idx]), idx), count)
+            (EdgeInstance(tail, heads[tail, idx], idx), count)
             for (tail, idx), count in self.edge_items()
         ]
 
@@ -137,12 +134,16 @@ class VectorGraph:
         return sum(self._edges.values())
 
     @cached_property
-    def vertices(self) -> tuple[Coord, ...]:
+    def _heads(self) -> dict[EdgeKey, Coord]:
+        """Head of every edge key, computed once and shared by the
+        structural properties below."""
         cols = self.system.columns
-        seen = set()
-        for (tail, idx) in self._edges:
-            seen.add(tail)
-            seen.add(_add(tail, cols[idx]))
+        return {key: tuple(map(add, key[0], cols[key[1]])) for key in self._edges}
+
+    @cached_property
+    def vertices(self) -> tuple[Coord, ...]:
+        seen = {tail for tail, _ in self._edges}
+        seen.update(self._heads.values())
         return tuple(sorted(seen))
 
     def head_of(self, key: EdgeKey) -> Coord:
@@ -169,11 +170,12 @@ class VectorGraph:
     @cached_property
     def _cuts(self) -> dict[Coord, tuple[int, ...]]:
         n = self.system.n
-        cols = self.system.columns
+        heads = self._heads
         cuts: dict[Coord, list[int]] = {v: [0] * n for v in self.vertices}
-        for (tail, idx), count in self._edges.items():
+        for key, count in self._edges.items():
+            tail, idx = key
             cuts[tail][idx] += count
-            cuts[_add(tail, cols[idx])][idx] -= count
+            cuts[heads[key]][idx] -= count
         return {v: tuple(c) for v, c in cuts.items()}
 
     def vertex_cut(self, v: Coord) -> tuple[int, ...]:
@@ -200,11 +202,11 @@ class VectorGraph:
     @cached_property
     def _forest(self):
         """Deterministic BFS spanning forest: parent links plus tree keys."""
-        cols = self.system.columns
+        heads = self._heads
         adj: dict[Coord, list[tuple[Coord, EdgeKey]]] = {v: [] for v in self.vertices}
         for key in sorted(self._edges):
-            tail, idx = key
-            head = _add(tail, cols[idx])
+            tail = key[0]
+            head = heads[key]
             adj[tail].append((head, key))
             adj[head].append((tail, key))
         for lst in adj.values():
@@ -319,7 +321,7 @@ class VectorGraph:
         of nonzero ``cycle_vector`` values over ``cycle_basis()``.
         """
         parent, _, _ = self._forest
-        cols = self.system.columns
+        heads = self._heads
         potential: dict[Coord, tuple[int, ...]] = {}
         for v, link in parent.items():  # BFS order: parents come first
             if link is None:
@@ -330,8 +332,9 @@ class VectorGraph:
             p[idx] += 1 if tail == u else -1
             potential[v] = tuple(p)
         vectors = set()
-        for tail, idx in self._edges:
-            chi = list(_sub(potential[tail], potential[_add(tail, cols[idx])]))
+        for key, head in heads.items():
+            tail, idx = key
+            chi = list(map(sub, potential[tail], potential[head]))
             chi[idx] += 1
             if any(chi):
                 vectors.add(tuple(chi))
@@ -347,7 +350,16 @@ class VectorGraph:
         head - tail = column i of R, so by induction down the forest
         R p(v) = v - root for each potential, and R chi = col_i + tail -
         head = 0 for every cycle vector.  Only their rank is checked.
+
+        The graph is immutable, so the verdict is computed once and
+        cached.  Code that has established it otherwise (the enumerator's
+        candidate check, the sum theorem in ``tiling.add``) stores it in
+        ``_verdict`` up front.
         """
+        return self._verdict
+
+    @cached_property
+    def _verdict(self) -> KirchhoffVerdict:
         if self.is_empty:
             return KirchhoffVerdict("trivial")
         sysm = self.system
@@ -413,10 +425,8 @@ class VectorGraph:
         The image of edge (u, v, i) is (-v, -u, i), which preserves the
         geometric consistency invariant; the result is canonicalized.
         """
-        cols = self.system.columns
-        flipped = {
-            (_neg(_add(tail, cols[idx])), idx): c for (tail, idx), c in self._edges.items()
-        }
+        heads = self._heads
+        flipped = {(_neg(heads[key]), key[1]): c for key, c in self._edges.items()}
         return VectorGraph(self.system, flipped).canonical()
 
     def is_self_chiral(self) -> bool:

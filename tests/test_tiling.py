@@ -1,10 +1,15 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kirchgraph.tiling as tiling
 from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
 from kirchgraph.exactalg import build_row_system
 from kirchgraph.tiling import (
+    KirchhoffViolation,
     NoEmbeddingAtOffset,
     Placement,
     SystemMismatch,
@@ -52,6 +57,21 @@ def triangle_graphs():
     return graphs
 
 
+@lru_cache(maxsize=None)
+def census(rows, m_max):
+    graphs, _ = enumerate_kirchhoff(build_row_system([list(r) for r in rows]), SearchConfig(m_max=m_max))
+    return graphs
+
+
+SQUARE = ((2, 0, 1, 1), (0, 2, 1, -1))
+TRIANGLE = ((1, 0, 1), (0, 1, 1))
+
+
+def fresh_verdict(g):
+    """The verdict of a new graph on g's edges, with nothing cached."""
+    return VectorGraph(g.system, dict(g._edges)).is_kirchhoff()
+
+
 # -- add -------------------------------------------------------------------
 
 
@@ -77,6 +97,59 @@ def test_add_requires_same_system():
     f1, _ = square_pair()
     with pytest.raises(SystemMismatch):
         add(f1, triangle_graphs()[0], (0, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(SQUARE, 2), (TRIANGLE, 2)]), st.data())
+def test_sum_theorem_verdicts_match_a_fresh_check(system, data):
+    # Chains of add() over census graphs (verdict "ok" from the search) and
+    # the empty graph ("trivial") take their verdicts from the sum theorem;
+    # each must equal a fresh check.
+    graphs = census(*system)
+    pool = [VectorGraph.empty(graphs[0].system)] + list(graphs)
+    pick = st.sampled_from(range(len(pool)))
+    offset = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    acc = pool[data.draw(pick)]
+    for _ in range(data.draw(st.integers(1, 5))):
+        acc = add(acc, pool[data.draw(pick)], data.draw(offset))
+        assert acc.is_kirchhoff() == fresh_verdict(acc)
+        assert acc.is_kirchhoff().status == ("trivial" if acc.is_empty else "ok")
+
+
+def test_add_with_a_non_kirchhoff_operand_is_verified():
+    f1, _ = square_pair()
+    sys = f1.system
+    edge = VectorGraph(sys, [((0, 0), 0)])
+    with pytest.raises(KirchhoffViolation):
+        add(f1, edge, (0, 0))
+    with pytest.raises(KirchhoffViolation):
+        add(edge, VectorGraph.empty(sys), (0, 0))
+    # two halves that are not Kirchhoff alone are checked, and pass, as a sum
+    items = f1.edge_items()
+    half_a = VectorGraph(sys, dict(items[: len(items) // 2]))
+    half_b = VectorGraph(sys, dict(items[len(items) // 2 :]))
+    assert not half_a.is_kirchhoff().ok and not half_b.is_kirchhoff().ok
+    total = add(half_a, half_b, half_b.vertices[0])
+    assert total == f1 and total.is_kirchhoff() == fresh_verdict(f1)
+
+
+@pytest.mark.parametrize(
+    "rows, m_max",
+    [
+        (SQUARE, 2),
+        (((2, 0, 1, 1), (0, 2, 3, 1)), 6),
+        (((1, 0, 2, 1), (0, 1, 1, 2)), 6),
+        (TRIANGLE, 4),
+    ],
+    ids=["square-m2", "steep-m6", "shear-m6", "triangle-m4"],
+)
+def test_kirchhoff_implies_vector_2_connected(rows, m_max):
+    # Every row of N = [C; -qI] is nonzero, so cycle vectors spanning
+    # Null(R) cover every coordinate: _verify needs no 2-connectivity check.
+    for g in census(rows, m_max):
+        fresh = VectorGraph(g.system, dict(g._edges))
+        assert fresh.is_kirchhoff().ok and fresh.is_vector_2_connected()
+        assert g.is_kirchhoff() == fresh.is_kirchhoff()  # carried from the search
 
 
 def test_random_sums_round_trip():
@@ -264,8 +337,49 @@ def test_span_search_keeps_its_order_on_shear():
     found = [(next(i for i, h in enumerate(g) if h is p.graph), p.offset, p.sign)
              for p in res.expression.placements]
     assert found == [(3, (0, -1), 1), (2, (-1, 0), 1), (1, (-1, 0), -1)]
+    assert res.nodes == 113
     res = span_contains([g[2], g[3]], g[0])
     assert res.status == "no_within_bounds" and res.expression is None
+    assert res.nodes == 884
+
+
+def test_fundamental_sets_span_calls_keep_their_trees(monkeypatch):
+    # Every span_contains call of fundamental_sets on shear m=6 as
+    # (generators, target, status, search nodes, placements), recorded
+    # before the span search cached its option lists and shifted copies.
+    g = shear_graphs()
+    calls = []
+    span = tiling.span_contains
+
+    def recording(gens, target, *args):
+        res = span(gens, target, *args)
+        index = [next(i for i, h in enumerate(g) if h is x) for x in gens]
+        placements = res.expression and [
+            (next(i for i, h in enumerate(g) if h is p.graph), p.offset, p.sign)
+            for p in res.expression.placements
+        ]
+        calls.append((tuple(index), g.index(target), res.status, res.nodes, placements))
+        return res
+
+    monkeypatch.setattr(tiling, "span_contains", recording)
+    assert fundamental_sets(g) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    no = "no_within_bounds"
+    assert calls == [
+        ((0,), 1, no, 24, None),
+        ((1,), 0, no, 40, None),
+        ((2,), 0, no, 32, None),
+        ((3,), 0, no, 32, None),
+        ((0, 1), 2, no, 758, None),
+        ((0, 2), 1, no, 777, None),
+        ((0, 3), 1, no, 659, None),
+        ((1, 2), 0, no, 1619, None),
+        ((1, 3), 0, no, 1647, None),
+        ((2, 3), 0, no, 884, None),
+        ((0, 1, 2), 3, "yes", 40, [(0, (0, 0), 1), (0, (1, 1), 1), (2, (0, 0), -1)]),
+        ((0, 1, 3), 2, "yes", 46, [(0, (0, 0), 1), (0, (1, 1), 1), (3, (0, 0), -1)]),
+        ((0, 2, 3), 1, "yes", 44, [(2, (0, 0), 1), (3, (1, -1), 1), (0, (1, 0), -1)]),
+        ((1, 2, 3), 0, "yes", 113, [(3, (0, -1), 1), (2, (-1, 0), 1), (1, (-1, 0), -1)]),
+    ]
 
 
 def test_expression_evaluation_checks_embeddings():

@@ -220,6 +220,12 @@ def test_triangle_is_kirchhoff():
     assert triangle_graph().is_kirchhoff().ok
 
 
+def test_verdict_is_computed_once():
+    g = triangle_graph()
+    assert g.is_kirchhoff() is g.is_kirchhoff()
+    assert g.is_kirchhoff().ok
+
+
 def test_doubled_edge_alone_is_not_kirchhoff():
     # A doubled copy of one edge has a (zero) cycle but invalid cuts.
     g = VectorGraph(triangle_system(), [((0, 0), 0, 2)])
