@@ -269,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_matrix_opts(p):
         p.add_argument("--matrix", required=True, help="path to the matrix file")
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("enumerate", help="find all graphs up to a multiplicity bound")
     add_matrix_opts(p)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--out", help="write the JSON document here")
     p.add_argument("--classify-prime", action="store_true")
@@ -300,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fundamental", help="minimum generating subsets")
     add_matrix_opts(p)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--coeff-bound", type=int, default=DEFAULT_COEFF_BOUND)
     p.set_defaults(func=cmd_fundamental)

@@ -8,8 +8,14 @@ vertex whose cut has meanwhile become a row-space member is skipped;
 otherwise every cut from the list that fits the multiplicity box (see
 ``Search``) is tried in list order, and exhausting them backtracks.
 When nothing is pending, the accumulated edges form a candidate graph;
-candidates passing both Kirchhoff conditions with uniform per-vector
-counts are collected, deduplicated up to translation.
+candidates with uniform per-vector counts are collected, deduplicated up
+to translation.
+
+A uniform candidate is Kirchhoff without a check.  Every vertex cut lies
+in the cut list, hence in Row(R), or the vertex would still be pending.
+Given that, the cycle vectors span Null(R) iff every edge vector occurs
+(the argument is in ``VectorGraph.is_kirchhoff``), and uniform counts
+with m >= 1 use every vector.
 
 Two prunes keep the tree finite and small: no per-vector edge count may
 exceed ``m_max``, and (on by default) no vertex may be created at
@@ -80,17 +86,6 @@ class SearchStats:
         self.complete = self.complete and other.complete
 
 
-def cut_list(sys: RowSystem, config: SearchConfig) -> list[tuple[int, ...]]:
-    """The assignment list: all bounded row-space cuts, sorted lexicographically.
-
-    The zero cut stays on the list.  Assigning it to a pending vertex adds
-    the net edges that cancel the accumulated cut there, which is how
-    pass-through vertices (nonzero degree, zero cut) get built.  Only the
-    anchor skips it, since a zero anchor cut stalls on the empty graph.
-    """
-    return enumerate_bounded_cuts(sys, config.m_max)
-
-
 class Search:
     """Incremental search state: the partial graph plus its to-do list.
 
@@ -117,7 +112,12 @@ class Search:
         self.cols = sys.columns
         self.neg_cols = tuple(tuple(-x for x in col) for col in sys.columns)
         self.m_max = config.m_max
-        self.lam = cut_list(sys, config)
+        self.lam = enumerate_bounded_cuts(sys, config.m_max)
+        # The zero cut stays on the assignment list: assigning it to a
+        # pending vertex adds the net edges that cancel the cut accumulated
+        # there, which is how pass-through vertices (nonzero degree, zero
+        # cut) get built.  Only the anchor skips it, since a zero anchor
+        # cut stalls on the empty graph.
         self.anchor_cuts = [c for c in self.lam if any(c)]
         self.rowset = frozenset(self.lam)
         # every cut entry lies in [-m_max, m_max]
@@ -134,7 +134,6 @@ class Search:
         self.stats = SearchStats()
         self.truncated = False
         self.found: dict[tuple, dict] = {}
-        self._rejected: set[tuple] = set()
         # mutable search state
         self.cuts: dict[Coord, tuple[int, ...]] = {}
         self.edges: dict[tuple[Coord, int], int] = {}
@@ -283,6 +282,8 @@ class Search:
 
     def _emit(self) -> None:
         self.stats.candidates += 1
+        if len(set(self.counts)) != 1:
+            return
         shift = min(self.cuts)
         key = tuple(
             sorted(
@@ -290,13 +291,7 @@ class Search:
                 for (tail, i), c in self.edges.items()
             )
         )
-        if key in self.found or key in self._rejected:
-            return
-        graph = VectorGraph(self.sys, {k: c for k, c in key})
-        if graph.is_kirchhoff().ok and graph.multiplicity().uniform:
-            self.found[key] = dict(key)
-        else:
-            self._rejected.add(key)
+        self.found[key] = dict(key)
 
 
 def _run_slice(args):
@@ -341,7 +336,7 @@ def enumerate_kirchhoff(
                 truncated = truncated or part_trunc
     graphs = [VectorGraph(sys, found[key]) for key in sorted(found)]
     for graph in graphs:
-        graph._verdict = KirchhoffVerdict("ok")  # as Search._emit checked it
+        graph._verdict = KirchhoffVerdict("ok")  # by the theorem in Search._emit
     stats.graphs_found = len(graphs)
     stats.complete = not truncated
     return graphs, stats

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from kirchgraph.exactalg import build_row_system, span_rank
+from kirchgraph.exactalg import build_row_system
 from kirchgraph.vgraph import Coord, KirchhoffVerdict, VectorGraph
 
 DEFAULT_COEFF_BOUND = 8
@@ -188,11 +188,11 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
     Depth-first split with propagation: edges are assigned part by part
     in vertex order, and as soon as a vertex has all incident edges
     assigned, both parts' cuts there must lie in the row space or the
-    branch dies.  At a leaf every vertex has passed that test, so only
-    the rank of each part's cycle vectors is left to check.  The first
-    edge is pinned to part A to break the A/B symmetry.  Exhausting the
-    tree proves primality; ``budget`` caps the node count, returning
-    "unknown" when exceeded.
+    branch dies.  At a leaf every vertex has passed that test, so a part
+    is Kirchhoff iff it uses every edge vector (see
+    ``VectorGraph.is_kirchhoff``).  The first edge is pinned to part A to
+    break the A/B symmetry.  Exhausting the tree proves primality;
+    ``budget`` caps the node count, returning "unknown" when exceeded.
     """
     if graph.is_empty:
         raise ValueError("primality is defined for nonempty graphs")
@@ -228,14 +228,13 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
         b = tuple(t - x for t, x in zip(total_cut[vertices[vi]], a))
         return in_row(a) and in_row(b)
 
-    required = n - system.k
-
     def kirchhoff_part(part_counts) -> VectorGraph | None:
-        """The part with these edge counts, if its cycle vectors span
-        Null(R); its cuts already passed ``vertex_ok``."""
-        part = VectorGraph(system, {keys[i][0]: c for i, c in enumerate(part_counts) if c})
-        if span_rank(part._basis_vectors) != required:
+        """The part with these edge counts, if it uses every edge vector;
+        its cuts already passed ``vertex_ok``."""
+        edges = {keys[i][0]: c for i, c in enumerate(part_counts) if c}
+        if len({idx for _, idx in edges}) != n:
             return None
+        part = VectorGraph(system, edges)
         part._verdict = KirchhoffVerdict("ok")
         return part
 

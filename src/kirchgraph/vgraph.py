@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, sub
+from operator import add
 
 from kirchgraph.exactalg import RowSystem, span_rank
 
@@ -196,8 +196,7 @@ class VectorGraph:
     #
     # ``cycle_basis`` and ``cycle_vector`` give the fundamental cycles as
     # closed walks; they are public API and the tests' reference.  The
-    # Kirchhoff checks read ``_basis_vectors``, the same cycle vectors
-    # from potentials on the spanning forest in one pass over the edges.
+    # Kirchhoff check needs no cycles at all (see ``is_kirchhoff``).
 
     @cached_property
     def _forest(self):
@@ -310,46 +309,24 @@ class VectorGraph:
             chi[edge.vec_index] += direction
         return tuple(chi)
 
-    @cached_property
-    def _basis_vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Distinct nonzero cycle vectors of the fundamental cycles, sorted.
-
-        Potentials on the spanning forest replace the walks: p(root) = 0
-        and p(child) = p(parent) +- e_i along the tree edge, so edge key
-        (tail, i) closes the cycle e_i + p(tail) - p(head).  Tree edges
-        give zero and parallel copies repeat a vector, so this is the set
-        of nonzero ``cycle_vector`` values over ``cycle_basis()``.
-        """
-        parent, _, _ = self._forest
-        heads = self._heads
-        potential: dict[Coord, tuple[int, ...]] = {}
-        for v, link in parent.items():  # BFS order: parents come first
-            if link is None:
-                potential[v] = (0,) * self.system.n
-                continue
-            u, (tail, idx) = link
-            p = list(potential[u])
-            p[idx] += 1 if tail == u else -1
-            potential[v] = tuple(p)
-        vectors = set()
-        for key, head in heads.items():
-            tail, idx = key
-            chi = list(map(sub, potential[tail], potential[head]))
-            chi[idx] += 1
-            if any(chi):
-                vectors.add(tuple(chi))
-        return tuple(sorted(vectors))
-
     # -- the Kirchhoff conditions ------------------------------------
 
     def is_kirchhoff(self) -> KirchhoffVerdict:
         """Check both conditions: every vertex cut in Row(R), and the
-        fundamental cycle vectors spanning all of Null(R).
+        cycle vectors spanning all of Null(R).
 
-        The cycle vectors need no membership test: every edge has
-        head - tail = column i of R, so by induction down the forest
-        R p(v) = v - root for each potential, and R chi = col_i + tail -
-        head = 0 for every cycle vector.  Only their rank is checked.
+        Given the first, the second is a count.  Let phi send each edge
+        to e_i, i its vector's index, and let S = phi(edge space), the
+        span of the e_i whose vector occurs.  The edge space is the cycle
+        space plus the span of the vertex stars, so S = phi(cycles) +
+        span(cuts).  Every edge has head - tail = column i of R, so
+        R chi = 0 for each closed walk: phi(cycles) lies in Null(R), the
+        cuts lie in Row(R), and the two meet only in 0, so phi(cycles) is
+        the intersection of S with Null(R).  No coordinate vanishes on
+        all of Null(R) (no row of N = [C; -qI] is zero), so the cycle
+        vectors span Null(R) iff every edge vector occurs.  Otherwise
+        their rank is the dimension of that intersection: the number of
+        vectors present minus the rank of their columns.
 
         The graph is immutable, so the verdict is computed once and
         cached.  Code that has established it otherwise (the enumerator's
@@ -367,11 +344,13 @@ class VectorGraph:
             cut = self._cuts[v]
             if not sysm.contains_in_row_space(cut):
                 return KirchhoffVerdict("bad_vertex", vertex=v, cut=cut)
-        required = sysm.n - sysm.k
-        rank = span_rank(self._basis_vectors)
-        if rank != required:
-            return KirchhoffVerdict("cycle_space_deficient", rank_found=rank, rank_required=required)
-        return KirchhoffVerdict("ok")
+        present = sorted({idx for _, idx in self._edges})
+        if len(present) == sysm.n:
+            return KirchhoffVerdict("ok")
+        rank = len(present) - span_rank([sysm.columns[i] for i in present])
+        return KirchhoffVerdict(
+            "cycle_space_deficient", rank_found=rank, rank_required=sysm.n - sysm.k
+        )
 
     def is_vector_2_connected(self) -> bool:
         """True iff every pair of edge-vector indices is jointly hit by
@@ -385,8 +364,8 @@ class VectorGraph:
         if self.system.n < 2:
             return True
         covered = set()
-        for chi in self._basis_vectors:
-            covered.update(i for i, x in enumerate(chi) if x)
+        for walk in self.cycle_basis():
+            covered.update(i for i, x in enumerate(self.cycle_vector(walk)) if x)
         return len(covered) == self.system.n
 
     # -- geometry ------------------------------------------------------

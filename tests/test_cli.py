@@ -4,8 +4,10 @@ import re
 import pytest
 
 from kirchgraph.cli import main, parse_matrix_text, CliError
-from kirchgraph.document import document_to_json, parse_document
+from kirchgraph.document import build_document, document_to_json, parse_document
+from kirchgraph.exactalg import build_row_system
 from kirchgraph.render import render_dot, render_svg
+from kirchgraph.vgraph import VectorGraph
 
 SQUARE = "2 0 1 1\n0 2 1 -1\n"
 
@@ -195,6 +197,21 @@ def test_verify_trivial_empty_graph(tmp_path, square_doc, capsys):
     assert "trivial" in capsys.readouterr().out
 
 
+
+def test_verify_reports_a_deficient_cycle_space(tmp_path, capsys):
+    # Two triangle planes sharing no vectors: a triangle in the first plane
+    # passes the vertex check but misses the second plane's vectors.
+    system = build_row_system(
+        [[1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 1]]
+    )
+    origin = (0, 0, 0, 0)
+    triangle = VectorGraph(system, [(origin, 0), ((1, 0, 0, 0), 1), (origin, 4)])
+    path = tmp_path / "deficient.json"
+    path.write_text(document_to_json(build_document(system, [triangle])))
+    assert main(["verify", "--doc", str(path)]) == 1
+    assert capsys.readouterr().out == "G0: cycle_space_deficient (rank 1 of 2)\n"
+
+
 # -- tile ----------------------------------------------------------------------------
 
 
@@ -351,3 +368,11 @@ def test_min_multiplicity_none(tmp_path, capsys):
     mat.write_text(SQUARE)
     assert main(["min-multiplicity", "--matrix", str(mat), "--m-limit", "1"]) == 0
     assert capsys.readouterr().out.strip() == "none"
+
+
+def test_min_multiplicity_takes_no_workers(square_matrix):
+    # min-multiplicity searches serially; only enumerate and fundamental
+    # take --workers.
+    with pytest.raises(SystemExit) as err:
+        main(["min-multiplicity", "--matrix", str(square_matrix), "--m-limit", "2", "--workers", "2"])
+    assert err.value.code == 2

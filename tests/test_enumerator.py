@@ -6,7 +6,6 @@ from kirchgraph.enumerator import (
     Search,
     SearchConfig,
     SearchStats,
-    cut_list,
     enumerate_kirchhoff,
     min_multiplicity,
 )
@@ -32,7 +31,7 @@ def keys(graphs):
 
 def test_cut_list_keeps_zero_and_sorts():
     sys = square_system()
-    lam = cut_list(sys, SearchConfig(m_max=2))
+    lam = Search(sys, SearchConfig(m_max=2)).lam
     assert (0, 0, 0, 0) in lam
     assert lam == sorted(lam)
 

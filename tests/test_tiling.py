@@ -65,6 +65,7 @@ def census(rows, m_max):
 
 SQUARE = ((2, 0, 1, 1), (0, 2, 1, -1))
 TRIANGLE = ((1, 0, 1), (0, 1, 1))
+DECOMPOSABLE = ((1, 0, 0, 0, 1, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 0, 1))
 
 
 def fresh_verdict(g):
@@ -232,6 +233,18 @@ def test_whole_minimal_census_is_prime():
     graphs, _ = enumerate_kirchhoff(steep, SearchConfig(m_max=6))
     assert len(graphs) == 16
     assert all(is_prime(g).status == "prime" for g in graphs)
+
+
+def test_split_leaves_check_that_each_part_uses_every_vector():
+    # Two triangle planes sharing no vectors: each m = 1 graph is two
+    # triangles joined at a vertex.  Every cut passes when the triangles
+    # are split apart, but neither part uses all six vectors, so the
+    # graphs are prime only because the leaves count the vectors.
+    graphs = census(DECOMPOSABLE, 1)
+    assert len(graphs) == 16
+    for g in graphs:
+        assert len(g.vertices) == 5
+        assert is_prime(g).status == "prime"
 
 
 def test_grid_is_composite_with_verified_witness():
