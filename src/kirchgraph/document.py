@@ -10,6 +10,7 @@ flags produce byte-identical output.
 from __future__ import annotations
 
 import json
+from operator import add, itemgetter
 
 from kirchgraph.exactalg import RowSystem, build_row_system
 from kirchgraph.vgraph import VectorGraph
@@ -31,25 +32,23 @@ def build_document(
     """
     order = sorted(range(len(graphs)), key=lambda i: graphs[i].canonical_key())
     canon = [graphs[i].canonical() for i in order]
-    ids = {canon[pos].canonical_key(): f"G{pos}" for pos in range(len(canon))}
+    keys = [graphs[i].canonical_key() for i in order]
+    ids = {key: f"G{pos}" for pos, key in enumerate(keys)}
 
     entries = []
     self_chiral_count = 0
     paired = 0
-    for pos, g in enumerate(canon):
-        verts = list(g.vertices)
+    for pos, (g, key) in enumerate(zip(canon, keys)):
+        verts = g.vertices
         vid = {v: i for i, v in enumerate(verts)}
+        heads = g._heads
+        # g is canonical, so its key is its sorted edge list
         edges = [
-            {
-                "tail": vid[edge.tail],
-                "head": vid[edge.head],
-                "vec_index": edge.vec_index,
-                "count": count,
-            }
-            for edge, count in g.edges()
+            {"tail": vid[tail], "head": vid[heads[tail, idx]], "vec_index": idx, "count": count}
+            for (tail, idx), count in key
         ]
-        chiral_key = g.chiral().canonical_key()
-        self_chiral = chiral_key == g.canonical_key()
+        chiral_key = g.chiral_key()
+        self_chiral = chiral_key == key
         if self_chiral:
             self_chiral_count += 1
             chiral_of = None
@@ -94,8 +93,81 @@ def build_document(
     return doc
 
 
+def _layout(items: list[str], indent: int, brackets: str = "[]") -> str:
+    """Encoded items as a JSON array (or object) opened at ``indent``,
+    laid out as ``json.dumps(indent=2)`` lays them out."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (indent + 2)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * indent + brackets[1]
+
+
+def _object(fields: tuple[str, ...], indent: int, leaf: str = "%s") -> str:
+    """A %-template for an object with these keys, in this order."""
+    return _layout([f'"{name}": {leaf}' for name in fields], indent, "{}")
+
+
+_DOC = _object(("schema", "system", "m_max", "complete", "graphs", "summary"), 0)
+_SYSTEM = _object(("n", "k", "q", "R", "C", "N"), 2)
+_SUMMARY_FIELDS = ("total", "self_chiral", "chiral_pairs", "primes")
+_SUMMARY = _object(_SUMMARY_FIELDS, 2)
+_ENTRY = _object(
+    ("id", "vertices", "edges", "multiplicity", "self_chiral", "chiral_of", "prime"), 4
+)
+_EDGE_FIELDS = ("tail", "head", "vec_index", "count")
+_EDGE = _object(_EDGE_FIELDS, 8, "%d")
+_edge_values = itemgetter(*_EDGE_FIELDS)
+
+
+def _matrix(rows) -> str:
+    return _layout([_layout([str(x) for x in row], 6) for row in rows], 4)
+
+
 def document_to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The document as ``json.dumps(doc, indent=2) + "\\n"`` writes it.
+
+    ``doc`` has the shape ``build_document`` gives (and ``parse_document``
+    returns).  Each object of that shape is a fixed template whose leaves
+    ``json.dumps`` (the C encoder, for scalars) or ``%d`` write, so no
+    value passes through ``json``'s pure-Python indenting encoder.
+    """
+    dumps = json.dumps
+    system = doc["system"]
+    vertex = _layout(["%d"] * system["k"], 8)
+    graphs = [
+        _ENTRY
+        % (
+            dumps(e["id"]),
+            _layout([vertex % tuple(v) for v in e["vertices"]], 6),
+            _layout([_EDGE % _edge_values(d) for d in e["edges"]], 6),
+            dumps(e["multiplicity"]),
+            dumps(e["self_chiral"]),
+            dumps(e["chiral_of"]),
+            dumps(e["prime"]),
+        )
+        for e in doc["graphs"]
+    ]
+    summary = doc["summary"]
+    return (
+        _DOC
+        % (
+            dumps(doc["schema"]),
+            _SYSTEM
+            % (
+                dumps(system["n"]),
+                dumps(system["k"]),
+                dumps(system["q"]),
+                _matrix(system["R"]),
+                _matrix(system["C"]),
+                _matrix(system["N"]),
+            ),
+            dumps(doc["m_max"]),
+            dumps(doc["complete"]),
+            _layout(graphs, 2),
+            _SUMMARY % tuple(dumps(summary[f]) for f in _SUMMARY_FIELDS),
+        )
+        + "\n"
+    )
 
 
 def parse_document(text: str) -> tuple[RowSystem, list[VectorGraph], dict]:
@@ -109,17 +181,20 @@ def parse_document(text: str) -> tuple[RowSystem, list[VectorGraph], dict]:
     system = build_row_system(doc["system"]["R"])
     if [list(r) for r in system.N] != doc["system"]["N"]:
         raise ValueError("stored null matrix disagrees with the row matrix")
+    cols = system.columns
     graphs = []
     for entry in doc["graphs"]:
         verts = [tuple(v) for v in entry["vertices"]]
         edges = {}
+        heads = {}
         for e in entry["edges"]:
             key = (verts[e["tail"]], e["vec_index"])
             edges[key] = edges.get(key, 0) + e["count"]
-            head = tuple(
-                a + b for a, b in zip(verts[e["tail"]], system.columns[e["vec_index"]])
-            )
+            head = tuple(map(add, key[0], cols[key[1]]))
             if head != verts[e["head"]]:
                 raise ValueError(f"edge {e} is geometrically inconsistent")
-        graphs.append(VectorGraph(system, edges))
+            heads[key] = head
+        graph = VectorGraph(system, edges)
+        graph._heads = {key: heads[key] for key in graph._edges}  # checked above
+        graphs.append(graph)
     return system, graphs, doc

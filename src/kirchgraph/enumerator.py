@@ -29,16 +29,20 @@ Scope and completeness:
 * Only connected graphs are enumerated; growth starts at the anchor, so
   disconnected unions (which exist in unbounded families, one per
   relative offset of their components) never arise.
-* At the minimal multiplicity the census is exact: every connected
-  uniform Kirchhoff graph is reachable, corroborated by brute-force
-  window scans and flow-solving oracles in the test suite.
-* Above the minimal multiplicity the discipline of skipping satisfied
-  vertices can miss graphs that strictly contain a complete Kirchhoff
-  subgraph attached through an already-satisfied junction: once the
-  inner graph closes, nothing is pending and the branch stops.  The
-  smallest example is a pair of lattice triangles sharing one zero-cut
-  vertex.  Disabling the negative-sum prune recovers some of these (the
-  stall may be anchoring-specific) but not all.
+* The discipline of skipping satisfied vertices can miss graphs that
+  strictly contain a complete Kirchhoff subgraph attached through an
+  already-satisfied junction: once the inner graph closes, nothing is
+  pending and the branch stops.  The smallest example is a pair of
+  lattice triangles sharing one zero-cut vertex.  Disabling the
+  negative-sum prune recovers some of these (the stall may be
+  anchoring-specific) but not all.
+* This can happen at the minimal multiplicity m* too.  For the four
+  planar test systems (square, steep, shear, triangle) the census at m*
+  is exact, corroborated by brute-force window scans, a flow-solving
+  oracle and the paper's censuses.  The decomposable k = 4 system, two
+  triangle planes sharing no edge vectors, has m* = 1, and there the
+  search finds 16 of the 36 graphs (two triangles joined at a vertex)
+  that a scan of the {0,1}^4 box finds.
 """
 
 from __future__ import annotations
@@ -284,6 +288,8 @@ class Search:
         self.stats.candidates += 1
         if len(set(self.counts)) != 1:
             return
+        # The live vertices are exactly the graph's vertices, so this is
+        # the graph's canonical_key().
         shift = min(self.cuts)
         key = tuple(
             sorted(
@@ -305,8 +311,9 @@ def enumerate_kirchhoff(
     sys: RowSystem, config: SearchConfig
 ) -> tuple[list[VectorGraph], SearchStats]:
     """All nonempty connected uniform Kirchhoff graphs with m <= m_max,
-    up to translation (subject to the completeness notes in the module
-    docstring; exact at the minimal multiplicity).
+    up to translation, subject to the completeness notes in the module
+    docstring: exact at the minimal multiplicity for the four planar test
+    systems, but not in general.
 
     Returns the graphs in canonical form, sorted by canonical edge list,
     plus run statistics.  ``stats.complete`` is False when a node limit
@@ -334,9 +341,12 @@ def enumerate_kirchhoff(
                 found.update(part_found)
                 stats.merge(part_stats)
                 truncated = truncated or part_trunc
-    graphs = [VectorGraph(sys, found[key]) for key in sorted(found)]
-    for graph in graphs:
+    graphs = []
+    for key in sorted(found):
+        graph = VectorGraph(sys, found[key])
         graph._verdict = KirchhoffVerdict("ok")  # by the theorem in Search._emit
+        graph._key = key  # canonical_key(), as Search._emit built it
+        graphs.append(graph)
     stats.graphs_found = len(graphs)
     stats.complete = not truncated
     return graphs, stats

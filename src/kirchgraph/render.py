@@ -54,10 +54,24 @@ def _fmt(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else f"{x:.1f}"
 
 
+# the arrowhead markers, one per palette color
+_DEFS = "".join(
+    f'<marker id="arrow{ci}" viewBox="0 0 10 10" refX="9" refY="5" '
+    f'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
+    f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{color}"/></marker>'
+    for ci, color in enumerate(PALETTE)
+)
+
+
 def render_svg(graph: VectorGraph, name: str = "G", scale: int = 48) -> str:
     """Standalone SVG: lattice-positioned vertices, colored arrows per
     edge vector, a count annotation on coincident parallel copies, and a
-    legend naming s1..sn."""
+    legend naming s1..sn.
+
+    ``scale`` is the integer number of pixels per lattice step, so every
+    vertex sits on a whole pixel; only count labels at edge midpoints
+    can fall on half pixels.
+    """
     system = graph.system
     n = system.n
     if graph.is_empty:
@@ -66,27 +80,25 @@ def render_svg(graph: VectorGraph, name: str = "G", scale: int = 48) -> str:
     else:
         xs = [_xy(v)[0] for v in graph.vertices]
         ys = [_xy(v)[1] for v in graph.vertices]
+        x_lo, y_hi = min(xs), max(ys)
         margin = 40
         legend_h = 18 * n + 10
-
-        def px(v):
-            x, y = _xy(v)
-            return (
-                margin + scale * (x - min(xs)),
-                margin + scale * (max(ys) - y),
-            )
-
-        width = 2 * margin + scale * (max(xs) - min(xs)) + 140
-        height = 2 * margin + scale * (max(ys) - min(ys)) + legend_h
+        px = {
+            v: (margin + scale * (x - x_lo), margin + scale * (y_hi - y))
+            for v, x, y in zip(graph.vertices, xs, ys)
+        }
+        width = 2 * margin + scale * (max(xs) - x_lo) + 140
+        height = 2 * margin + scale * (y_hi - min(ys)) + legend_h
+        heads = graph._heads
         body = []
-        for edge, count in graph.edges():
-            x1, y1 = px(edge.tail)
-            x2, y2 = px(edge.head)
-            color = vector_color(edge.vec_index)
+        for (tail, idx), count in graph.edge_items():
+            x1, y1 = px[tail]
+            x2, y2 = px[heads[tail, idx]]
+            color = vector_color(idx)
             body.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                 f'stroke="{color}" stroke-width="2" '
-                f'marker-end="url(#arrow{edge.vec_index % len(PALETTE)})"/>'
+                f'marker-end="url(#arrow{idx % len(PALETTE)})"/>'
             )
             if count > 1:
                 mx, my = (x1 + x2) / 2, (y1 + y2) / 2
@@ -94,9 +106,8 @@ def render_svg(graph: VectorGraph, name: str = "G", scale: int = 48) -> str:
                     f'<text x="{_fmt(mx + 5)}" y="{_fmt(my - 5)}" font-size="12" '
                     f'fill="{color}">{count}</text>'
                 )
-        for v in graph.vertices:
-            x, y = px(v)
-            body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#000"/>')
+        for x, y in px.values():
+            body.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#000"/>')
         for i in range(n):
             ly = height - legend_h + 18 * i + 12
             body.append(
@@ -106,15 +117,9 @@ def render_svg(graph: VectorGraph, name: str = "G", scale: int = 48) -> str:
             col = ",".join(str(x) for x in system.columns[i])
             body.append(f'<text x="40" y="{ly + 4}" font-size="12">s{i + 1} = ({col})</text>')
 
-    defs = "".join(
-        f'<marker id="arrow{ci}" viewBox="0 0 10 10" refX="9" refY="5" '
-        f'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
-        f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{color}"/></marker>'
-        for ci, color in enumerate(PALETTE)
-    )
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     )
     title = f'<title>{name}</title>'
-    return head + title + f"<defs>{defs}</defs>" + "".join(body) + "</svg>\n"
+    return head + title + f"<defs>{_DEFS}</defs>" + "".join(body) + "</svg>\n"

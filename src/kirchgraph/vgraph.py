@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, sub
 
 from kirchgraph.exactalg import RowSystem, span_rank
 
@@ -146,9 +146,6 @@ class VectorGraph:
         seen.update(self._heads.values())
         return tuple(sorted(seen))
 
-    def head_of(self, key: EdgeKey) -> Coord:
-        return _add(key[0], self.system.columns[key[1]])
-
     def __contains__(self, edge: EdgeInstance) -> bool:
         return self._edges.get((edge.tail, edge.vec_index), 0) > 0
 
@@ -234,7 +231,7 @@ class VectorGraph:
         parent, _, _ = self._forest
         u, key = parent[v]
         tail, idx = key
-        edge = EdgeInstance(tail, self.head_of(key), idx)
+        edge = EdgeInstance(tail, self._heads[key], idx)
         direction = 1 if tail == v else -1
         return (edge, direction), u
 
@@ -273,7 +270,7 @@ class VectorGraph:
             if surplus <= 0:
                 continue
             tail, idx = key
-            head = self.head_of(key)
+            head = self._heads[key]
             edge = EdgeInstance(tail, head, idx)
             walk = [(edge, 1)] + self._tree_path(head, tail)
             cycles.extend([list(walk)] * surplus)
@@ -387,7 +384,15 @@ class VectorGraph:
         return self.translate(shift)
 
     def canonical_key(self):
-        """Hashable translation-invariant identity: the canonical edge list."""
+        """Hashable translation-invariant identity: the canonical edge list.
+
+        Computed once and cached, like the verdict; ``enumerate_kirchhoff``
+        stores the key its search already built.
+        """
+        return self._key
+
+    @cached_property
+    def _key(self):
         if self.is_empty:
             return ()
         shift = _neg(self.vertices[0])
@@ -408,8 +413,23 @@ class VectorGraph:
         flipped = {(_neg(heads[key]), key[1]): c for key, c in self._edges.items()}
         return VectorGraph(self.system, flipped).canonical()
 
+    def chiral_key(self):
+        """``chiral().canonical_key()`` without building the image.
+
+        Reflection sends the lexicographically greatest vertex ``top`` to
+        the least one, so the canonical image of edge (u, v, i) has its
+        tail at top - v.
+        """
+        if self.is_empty:
+            return ()
+        top = self.vertices[-1]
+        heads = self._heads
+        return tuple(
+            sorted(((tuple(map(sub, top, heads[key])), key[1]), c) for key, c in self._edges.items())
+        )
+
     def is_self_chiral(self) -> bool:
-        return self.canonical_key() == self.chiral().canonical_key()
+        return self.canonical_key() == self.chiral_key()
 
     def bounding_box(self) -> tuple[Coord, Coord]:
         """(min corner, max corner) over all vertices."""

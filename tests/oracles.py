@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the code path it checks: cut enumeration
 scans the full integer box, graph enumeration scans all edge multisets in
-a lattice window, and primality scans every bipartition of the edge
+a lattice window, primality scans every bipartition of the edge
+multiset, and translation keys recompute every endpoint from the edge
 multiset.
 """
 
@@ -29,6 +30,29 @@ def brute_force_cuts(sys, bound):
         for v in product(range(-bound, bound + 1), repeat=sys.n)
         if solve_membership(sys.R, v)
     )
+
+
+def translation_keys(graph):
+    """(canonical key, chiral key) of a graph from its edge multiset alone.
+
+    The canonical key shifts the lexicographically least endpoint to the
+    origin and sorts the ((tail, vec_index), count) items; the chiral key
+    is the canonical key of the image that sends each edge (u, v, i) to
+    (-v, -u, i).
+    """
+    cols = graph.system.columns
+
+    def key(items):
+        if not items:
+            return ()
+        ends = [t for (t, _), _ in items]
+        ends += [tuple(a + b for a, b in zip(t, cols[i])) for (t, i), _ in items]
+        low = min(ends)
+        return tuple(sorted(((tuple(a - b for a, b in zip(t, low)), i), c) for (t, i), c in items))
+
+    items = graph.edge_items()
+    reflected = [((tuple(-(a + b) for a, b in zip(t, cols[i])), i), c) for (t, i), c in items]
+    return key(items), key(reflected)
 
 
 def window_instances(sys, window):

@@ -151,6 +151,19 @@ def test_document_round_trip(square_doc):
         assert graph.multiplicity().m == entry["multiplicity"]
 
 
+def test_parse_document_drops_zero_count_edges(square_doc):
+    # A zero-count edge adds no vertex: the graph equals the one without it.
+    doc = json.loads(square_doc.read_text())
+    _, graphs, _ = parse_document(json.dumps(doc))
+    entry = doc["graphs"][0]
+    n = len(entry["vertices"])
+    entry["vertices"] += [[9, 9], [11, 9]]
+    entry["edges"].append({"tail": n, "head": n + 1, "vec_index": 0, "count": 0})
+    _, padded, _ = parse_document(json.dumps(doc))
+    assert padded[0] == graphs[0]
+    assert padded[0].vertices == graphs[0].vertices
+
+
 def test_parse_document_rejects_bad_schema():
     from kirchgraph.document import parse_document as pd
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
 from kirchgraph.exactalg import build_row_system, span_rank
 from kirchgraph.vgraph import EdgeInstance, KirchhoffVerdict, VectorGraph
+from oracles import translation_keys
 
 SQUARE = [[2, 0, 1, 1], [0, 2, 1, -1]]
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
@@ -316,6 +317,7 @@ def test_chiral_involution_up_to_translation():
 def test_chiral_empty():
     g = VectorGraph.empty(square_system())
     assert g.chiral().is_empty
+    assert_keys_match_the_oracle(g)
 
 
 def test_chiral_preserves_counts():
@@ -330,6 +332,44 @@ def test_canonical_fixed_point_and_translation_invariance():
     shifted = g.translate((3, -1))
     assert shifted.canonical() == g
     assert shifted.canonical_key() == g.canonical_key()
+
+
+def assert_keys_match_the_oracle(g):
+    canonical, chiral = translation_keys(g)
+    assert g.canonical_key() == canonical
+    assert g.chiral_key() == chiral
+    assert g.chiral().canonical_key() == chiral
+    assert g.is_self_chiral() == (canonical == chiral)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["square", "triangle"]), st.data())
+def test_cached_and_chiral_keys_match_the_oracle(which, data):
+    # Random multisets with parallel copies (the empty one included), each
+    # checked as drawn and under a random translation.
+    sys = square_system() if which == "square" else triangle_system()
+    edges = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(-3, 3), st.integers(-3, 3), st.integers(0, sys.n - 1), st.integers(1, 3)
+            ),
+            max_size=10,
+        )
+    )
+    offset = data.draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+    g = VectorGraph(sys, [((x, y), idx, c) for x, y, idx, c in edges])
+    for graph in (g, g.translate(offset)):
+        assert_keys_match_the_oracle(graph)
+        assert graph.canonical_key() is graph.canonical_key()  # cached
+    assert g.translate(offset).canonical_key() == g.canonical_key()
+
+
+@pytest.mark.parametrize("rows, m_max", [([[2, 0, 1, 1], [0, 2, 3, 1]], 6), (TRIANGLE, 4)])
+def test_keys_stored_by_the_search_match_the_oracle(rows, m_max):
+    graphs, _ = enumerate_kirchhoff(build_row_system(rows), SearchConfig(m_max=m_max))
+    for g in graphs:
+        assert vars(g)["_key"] == translation_keys(g)[0]  # stored, not recomputed
+        assert_keys_match_the_oracle(g)
 
 
 def test_equals_up_to_translation():
