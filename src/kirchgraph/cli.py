@@ -80,7 +80,7 @@ def _load_system(path: str):
 def _load_document(path: str):
     try:
         return parse_document(Path(path).read_text())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad document: {exc}", EXIT_PARSE) from exc
 
 

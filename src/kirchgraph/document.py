@@ -176,8 +176,9 @@ def parse_document(text: str) -> tuple[RowSystem, list[VectorGraph], dict]:
     Returns (system, graphs keyed in document order, raw document dict).
     """
     doc = json.loads(text)
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(f"unsupported schema {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise ValueError(f"unsupported schema {schema!r}")
     system = build_row_system(doc["system"]["R"])
     if [list(r) for r in system.N] != doc["system"]["N"]:
         raise ValueError("stored null matrix disagrees with the row matrix")
@@ -188,12 +189,14 @@ def parse_document(text: str) -> tuple[RowSystem, list[VectorGraph], dict]:
         edges = {}
         heads = {}
         for e in entry["edges"]:
-            key = (verts[e["tail"]], e["vec_index"])
+            tail, head, idx = e["tail"], e["head"], e["vec_index"]
+            if not (0 <= tail < len(verts) and 0 <= head < len(verts) and 0 <= idx < system.n):
+                raise ValueError(f"edge {e} indexes past the vertex list or the edge vectors")
+            key = (verts[tail], idx)
             edges[key] = edges.get(key, 0) + e["count"]
-            head = tuple(map(add, key[0], cols[key[1]]))
-            if head != verts[e["head"]]:
+            heads[key] = tuple(map(add, key[0], cols[idx]))
+            if heads[key] != verts[head]:
                 raise ValueError(f"edge {e} is geometrically inconsistent")
-            heads[key] = head
         graph = VectorGraph(system, edges)
         graph._heads = {key: heads[key] for key in graph._edges}  # checked above
         graphs.append(graph)

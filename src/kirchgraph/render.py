@@ -25,10 +25,10 @@ def vector_color(idx: int) -> str:
     return PALETTE[idx % len(PALETTE)]
 
 
-def _xy(coord) -> tuple[int, int]:
-    if len(coord) >= 2:
-        return coord[0], coord[1]
-    return coord[0], 0
+# Pixels per lattice step and around the drawing.  Both are even, so every
+# vertex sits on an even pixel and every edge midpoint on a whole one.
+SCALE = 48
+MARGIN = 40
 
 
 def render_dot(graph: VectorGraph, name: str = "G") -> str:
@@ -38,20 +38,16 @@ def render_dot(graph: VectorGraph, name: str = "G") -> str:
     vid = {v: i for i, v in enumerate(verts)}
     lines = [f'digraph "{name}" {{', "  node [shape=point, width=0.08];"]
     for v in verts:
-        x, y = _xy(v)
-        lines.append(f'  v{vid[v]} [pos="{x},{y}!", xlabel="{",".join(map(str, v))}"];')
-    for edge, count in graph.edges():
-        label = f"s{edge.vec_index + 1}" + (f" x{count}" if count > 1 else "")
+        lines.append(f'  v{vid[v]} [pos="{v[0]},{v[1]}!", xlabel="{",".join(map(str, v))}"];')
+    heads = graph._heads
+    for (tail, idx), count in graph.edge_items():
+        label = f"s{idx + 1}" + (f" x{count}" if count > 1 else "")
         lines.append(
-            f'  v{vid[edge.tail]} -> v{vid[edge.head]} '
-            f'[label="{label}", color="{vector_color(edge.vec_index)}"];'
+            f'  v{vid[tail]} -> v{vid[heads[tail, idx]]} '
+            f'[label="{label}", color="{vector_color(idx)}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else f"{x:.1f}"
 
 
 # the arrowhead markers, one per palette color
@@ -63,32 +59,26 @@ _DEFS = "".join(
 )
 
 
-def render_svg(graph: VectorGraph, name: str = "G", scale: int = 48) -> str:
+def render_svg(graph: VectorGraph, name: str = "G") -> str:
     """Standalone SVG: lattice-positioned vertices, colored arrows per
     edge vector, a count annotation on coincident parallel copies, and a
-    legend naming s1..sn.
-
-    ``scale`` is the integer number of pixels per lattice step, so every
-    vertex sits on a whole pixel; only count labels at edge midpoints
-    can fall on half pixels.
-    """
+    legend naming s1..sn."""
     system = graph.system
     n = system.n
     if graph.is_empty:
         body = ['<text x="10" y="20" font-size="14">empty graph</text>']
         width, height = 160, 40
     else:
-        xs = [_xy(v)[0] for v in graph.vertices]
-        ys = [_xy(v)[1] for v in graph.vertices]
+        xs = [v[0] for v in graph.vertices]
+        ys = [v[1] for v in graph.vertices]
         x_lo, y_hi = min(xs), max(ys)
-        margin = 40
         legend_h = 18 * n + 10
         px = {
-            v: (margin + scale * (x - x_lo), margin + scale * (y_hi - y))
+            v: (MARGIN + SCALE * (x - x_lo), MARGIN + SCALE * (y_hi - y))
             for v, x, y in zip(graph.vertices, xs, ys)
         }
-        width = 2 * margin + scale * (max(xs) - x_lo) + 140
-        height = 2 * margin + scale * (y_hi - min(ys)) + legend_h
+        width = 2 * MARGIN + SCALE * (max(xs) - x_lo) + 140
+        height = 2 * MARGIN + SCALE * (y_hi - min(ys)) + legend_h
         heads = graph._heads
         body = []
         for (tail, idx), count in graph.edge_items():
@@ -101,9 +91,9 @@ def render_svg(graph: VectorGraph, name: str = "G", scale: int = 48) -> str:
                 f'marker-end="url(#arrow{idx % len(PALETTE)})"/>'
             )
             if count > 1:
-                mx, my = (x1 + x2) / 2, (y1 + y2) / 2
+                mx, my = (x1 + x2) // 2, (y1 + y2) // 2
                 body.append(
-                    f'<text x="{_fmt(mx + 5)}" y="{_fmt(my - 5)}" font-size="12" '
+                    f'<text x="{mx + 5}" y="{my - 5}" font-size="12" '
                     f'fill="{color}">{count}</text>'
                 )
         for x, y in px.values():

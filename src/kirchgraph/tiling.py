@@ -201,20 +201,18 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
 
     system = graph.system
     n = system.n
-    cols = system.columns
-    keys = [(key, c) for key, c in graph.edge_items()]
+    keys = graph.edge_items()
     vertices = list(graph.vertices)
     vindex = {v: i for i, v in enumerate(vertices)}
+    heads = graph._heads
+    # the (tail, head) vertex indices of each key
+    key_ends = [(vindex[key[0]], vindex[heads[key]]) for key, _ in keys]
 
-    # incidence: for each vertex, which keys touch it and with what sign
-    touching: dict[int, list[tuple[int, int, int]]] = {i: [] for i in range(len(vertices))}
+    # the last key touching each vertex: its cuts are final after it
     last_key_at: dict[int, int] = {}
-    for ki, ((tail, idx), _) in enumerate(keys):
-        head = tuple(a + b for a, b in zip(tail, cols[idx]))
-        touching[vindex[tail]].append((ki, idx, +1))
-        touching[vindex[head]].append((ki, idx, -1))
-        last_key_at[vindex[tail]] = max(last_key_at.get(vindex[tail], -1), ki)
-        last_key_at[vindex[head]] = max(last_key_at.get(vindex[head], -1), ki)
+    for ki, ends in enumerate(key_ends):
+        for vi in ends:
+            last_key_at[vi] = ki
 
     cuts_a = [[0] * n for _ in vertices]
     total_cut = {v: graph.vertex_cut(v) for v in vertices}
@@ -255,9 +253,8 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
             if part_b is None:
                 return None
             return part_a, part_b
-        (tail, idx), count = keys[ki]
-        head = tuple(a + b for a, b in zip(tail, cols[idx]))
-        ends = (vindex[tail], vindex[head])
+        (_, idx), count = keys[ki]
+        ends = key_ends[ki]
         low = 1 if ki == 0 else 0  # pin a copy of the first edge into part A
         for a in range(low, count + 1):
             assigned[ki] = a

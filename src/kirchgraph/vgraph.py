@@ -11,12 +11,13 @@ lexicographically smallest vertex sits at the origin yields identical
 edge multisets.  Rotations and reflections do *not* identify graphs;
 in particular a graph and its chiral image may be distinct.
 
-Coordinates, vertex cuts and cycle vectors are plain integer tuples.
+The edge multiset is held in one form, a mapping (tail, vec_index) ->
+count; the head of each key is determined.  Coordinates and vertex cuts
+are plain integer tuples.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, sub
@@ -25,14 +26,6 @@ from kirchgraph.exactalg import RowSystem, span_rank
 
 Coord = tuple[int, ...]
 EdgeKey = tuple[Coord, int]  # (tail, vec_index); head is determined
-Step = tuple["EdgeInstance", int]  # (edge, +1 forward / -1 backward)
-
-
-@dataclass(frozen=True)
-class EdgeInstance:
-    tail: Coord
-    head: Coord
-    vec_index: int
 
 
 @dataclass(frozen=True)
@@ -74,29 +67,15 @@ class VectorGraph:
     """Immutable lattice multigraph with vector-labeled directed edges."""
 
     def __init__(self, system: RowSystem, edges=()):
+        """``edges`` maps (tail, vec_index) to a count, or lists
+        (tail, vec_index) or (tail, vec_index, count) tuples; counts of
+        a repeated key add up and zero counts are dropped."""
         self.system = system
-        cols = system.columns
         counts: dict[EdgeKey, int] = {}
         if hasattr(edges, "items"):
             items = [(tuple(tail), idx, c) for (tail, idx), c in edges.items()]
         else:
-            items = []
-            for item in edges:
-                if isinstance(item, EdgeInstance):
-                    expected = _add(item.tail, cols[item.vec_index])
-                    if item.head != expected:
-                        raise ValueError(
-                            f"edge head {item.head} inconsistent with vector "
-                            f"{item.vec_index} at tail {item.tail}"
-                        )
-                    items.append((item.tail, item.vec_index, 1))
-                elif isinstance(item[0], EdgeInstance):
-                    edge, count = item
-                    items.append((edge.tail, edge.vec_index, count))
-                elif len(item) == 2:
-                    items.append((tuple(item[0]), item[1], 1))
-                else:
-                    items.append((tuple(item[0]), item[1], item[2]))
+            items = [(tuple(item[0]), item[1], item[2] if len(item) > 2 else 1) for item in edges]
         for tail, idx, count in items:
             if not 0 <= idx < system.n:
                 raise ValueError(f"vec_index {idx} out of range")
@@ -123,13 +102,6 @@ class VectorGraph:
         """Edge multiset as ((tail, vec_index), count), sorted."""
         return sorted(self._edges.items())
 
-    def edges(self) -> list[tuple[EdgeInstance, int]]:
-        heads = self._heads
-        return [
-            (EdgeInstance(tail, heads[tail, idx], idx), count)
-            for (tail, idx), count in self.edge_items()
-        ]
-
     def total_edge_instances(self) -> int:
         return sum(self._edges.values())
 
@@ -145,9 +117,6 @@ class VectorGraph:
         seen = {tail for tail, _ in self._edges}
         seen.update(self._heads.values())
         return tuple(sorted(seen))
-
-    def __contains__(self, edge: EdgeInstance) -> bool:
-        return self._edges.get((edge.tail, edge.vec_index), 0) > 0
 
     def __eq__(self, other):
         return (
@@ -188,123 +157,6 @@ class VectorGraph:
             counts[idx] += count
         uniform = len(set(counts)) == 1
         return Multiplicity(tuple(counts), uniform, counts[0] if uniform else None)
-
-    # -- cycles -------------------------------------------------------
-    #
-    # ``cycle_basis`` and ``cycle_vector`` give the fundamental cycles as
-    # closed walks; they are public API and the tests' reference.  The
-    # Kirchhoff check needs no cycles at all (see ``is_kirchhoff``).
-
-    @cached_property
-    def _forest(self):
-        """Deterministic BFS spanning forest: parent links plus tree keys."""
-        heads = self._heads
-        adj: dict[Coord, list[tuple[Coord, EdgeKey]]] = {v: [] for v in self.vertices}
-        for key in sorted(self._edges):
-            tail = key[0]
-            head = heads[key]
-            adj[tail].append((head, key))
-            adj[head].append((tail, key))
-        for lst in adj.values():
-            lst.sort()
-        parent: dict[Coord, tuple[Coord, EdgeKey] | None] = {}
-        depth: dict[Coord, int] = {}
-        tree_keys: set[EdgeKey] = set()
-        for root in self.vertices:
-            if root in parent:
-                continue
-            parent[root] = None
-            depth[root] = 0
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w, key in adj[u]:
-                    if w in parent:
-                        continue
-                    parent[w] = (u, key)
-                    depth[w] = depth[u] + 1
-                    tree_keys.add(key)
-                    queue.append(w)
-        return parent, depth, tree_keys
-
-    def _step_to_parent(self, v: Coord) -> tuple[Step, Coord]:
-        parent, _, _ = self._forest
-        u, key = parent[v]
-        tail, idx = key
-        edge = EdgeInstance(tail, self._heads[key], idx)
-        direction = 1 if tail == v else -1
-        return (edge, direction), u
-
-    def _tree_path(self, start: Coord, goal: Coord) -> list[Step]:
-        """Walk start -> goal inside the spanning forest."""
-        _, depth, _ = self._forest
-        up_from_start: list[Step] = []
-        up_from_goal: list[Step] = []
-        a, b = start, goal
-        while depth[a] > depth[b]:
-            step, a = self._step_to_parent(a)
-            up_from_start.append(step)
-        while depth[b] > depth[a]:
-            step, b = self._step_to_parent(b)
-            up_from_goal.append(step)
-        while a != b:
-            step, a = self._step_to_parent(a)
-            up_from_start.append(step)
-            step, b = self._step_to_parent(b)
-            up_from_goal.append(step)
-        down_to_goal = [(edge, -d) for edge, d in reversed(up_from_goal)]
-        return up_from_start + down_to_goal
-
-    def cycle_basis(self) -> list[list[Step]]:
-        """Fundamental cycles of the spanning forest, one per non-tree copy.
-
-        Each cycle is a closed walk given as (edge, direction) steps; the
-        walks span the cycle space of the underlying multigraph.  Extra
-        parallel copies of a tree edge yield two-step cycles whose cycle
-        vector is zero.
-        """
-        _, _, tree_keys = self._forest
-        cycles = []
-        for key, count in self.edge_items():
-            surplus = count - (1 if key in tree_keys else 0)
-            if surplus <= 0:
-                continue
-            tail, idx = key
-            head = self._heads[key]
-            edge = EdgeInstance(tail, head, idx)
-            walk = [(edge, 1)] + self._tree_path(head, tail)
-            cycles.extend([list(walk)] * surplus)
-        return cycles
-
-    def cycle_vector(self, walk: list[Step]) -> tuple[int, ...]:
-        """Net signed traversal count per edge vector along a closed cycle.
-
-        The walk must consist of edges of this graph, chain end to end,
-        return to its start, and repeat no vertex other than first = last.
-        """
-        if not walk:
-            raise ValueError("empty walk")
-        visited = []
-        pos = None
-        for edge, direction in walk:
-            if (edge.tail, edge.vec_index) not in self._edges:
-                raise ValueError(f"edge {edge} not in graph")
-            start, end = (edge.tail, edge.head) if direction == 1 else (edge.head, edge.tail)
-            if pos is None:
-                visited.append(start)
-            elif start != pos:
-                raise ValueError(f"walk breaks at {pos}: next step starts at {start}")
-            visited.append(end)
-            pos = end
-        if visited[0] != visited[-1]:
-            raise ValueError("walk is not closed")
-        interior = visited[1:-1]
-        if len(set(interior)) != len(interior) or visited[0] in interior:
-            raise ValueError("walk repeats a vertex; not a cycle")
-        chi = [0] * self.system.n
-        for edge, direction in walk:
-            chi[edge.vec_index] += direction
-        return tuple(chi)
 
     # -- the Kirchhoff conditions ------------------------------------
 
@@ -357,13 +209,39 @@ class VectorGraph:
         subspace is never the union of two proper subspaces, so the pair
         (i, j) is covered iff some spanning vector is nonzero at i and
         some (possibly different) one is nonzero at j.
+
+        The fundamental cycle vectors come from potentials on a spanning
+        forest, without walking a cycle: p(root) = 0 and p(w) = p(u) +/- e_i
+        along each tree edge, so the cycle that closes edge (tail, i)
+        through the forest has vector e_i + p(tail) - p(head).  It is zero
+        on tree edges and on parallel copies of them.
         """
-        if self.system.n < 2:
-            return True
+        n = self.system.n
+        heads = self._heads
+        adj: dict[Coord, list[tuple[Coord, int, int]]] = {v: [] for v in self.vertices}
+        for key, head in heads.items():
+            tail, idx = key
+            adj[tail].append((head, idx, 1))
+            adj[head].append((tail, idx, -1))
+        potential: dict[Coord, list[int]] = {}
+        for root in self.vertices:
+            if root in potential:
+                continue
+            potential[root] = [0] * n
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for w, idx, sign in adj[u]:
+                    if w not in potential:
+                        p = potential[w] = potential[u].copy()
+                        p[idx] += sign
+                        stack.append(w)
         covered = set()
-        for walk in self.cycle_basis():
-            covered.update(i for i, x in enumerate(self.cycle_vector(walk)) if x)
-        return len(covered) == self.system.n
+        for (tail, idx), head in heads.items():
+            chi = list(map(sub, potential[tail], potential[head]))
+            chi[idx] += 1
+            covered.update(i for i, x in enumerate(chi) if x)
+        return len(covered) == n
 
     # -- geometry ------------------------------------------------------
 

@@ -3,10 +3,13 @@
 Each oracle deliberately avoids the code path it checks: cut enumeration
 scans the full integer box, graph enumeration scans all edge multisets in
 a lattice window, primality scans every bipartition of the edge
-multiset, and translation keys recompute every endpoint from the edge
-multiset.
+multiset, translation keys recompute every endpoint from the edge
+multiset, and cycle vectors are read off closed walks through a spanning
+forest built from those recomputed endpoints.
 """
 
+from collections import deque
+from dataclasses import dataclass
 from itertools import product
 
 from kirchgraph.exactalg import RationalMatrix, rref
@@ -53,6 +56,130 @@ def translation_keys(graph):
     items = graph.edge_items()
     reflected = [((tuple(-(a + b) for a, b in zip(t, cols[i])), i), c) for (t, i), c in items]
     return key(items), key(reflected)
+
+
+@dataclass(frozen=True)
+class EdgeInstance:
+    tail: tuple
+    head: tuple
+    vec_index: int
+
+
+Step = tuple[EdgeInstance, int]  # (edge, +1 forward / -1 backward)
+
+
+def _instance(graph, key):
+    tail, idx = key
+    return EdgeInstance(tail, tuple(a + b for a, b in zip(tail, graph.system.columns[idx])), idx)
+
+
+def _forest(graph):
+    """Deterministic BFS spanning forest: parent links, depths, tree keys."""
+    instances = [_instance(graph, key) for key, _ in graph.edge_items()]
+    vertices = sorted({e.tail for e in instances} | {e.head for e in instances})
+    adj = {v: [] for v in vertices}
+    for edge in instances:
+        adj[edge.tail].append((edge.head, edge))
+        adj[edge.head].append((edge.tail, edge))
+    for lst in adj.values():
+        lst.sort(key=lambda item: (item[0], item[1].tail, item[1].vec_index))
+    parent, depth, tree_keys = {}, {}, set()
+    for root in vertices:
+        if root in parent:
+            continue
+        parent[root] = None
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w, edge in adj[u]:
+                if w in parent:
+                    continue
+                parent[w] = (u, edge)
+                depth[w] = depth[u] + 1
+                tree_keys.add((edge.tail, edge.vec_index))
+                queue.append(w)
+    return parent, depth, tree_keys
+
+
+def _step_to_parent(forest, v) -> tuple[Step, tuple]:
+    parent, _, _ = forest
+    u, edge = parent[v]
+    return (edge, 1 if edge.tail == v else -1), u
+
+
+def _tree_path(forest, start, goal) -> list[Step]:
+    """Walk start -> goal inside the spanning forest."""
+    _, depth, _ = forest
+    up_from_start: list[Step] = []
+    up_from_goal: list[Step] = []
+    a, b = start, goal
+    while depth[a] > depth[b]:
+        step, a = _step_to_parent(forest, a)
+        up_from_start.append(step)
+    while depth[b] > depth[a]:
+        step, b = _step_to_parent(forest, b)
+        up_from_goal.append(step)
+    while a != b:
+        step, a = _step_to_parent(forest, a)
+        up_from_start.append(step)
+        step, b = _step_to_parent(forest, b)
+        up_from_goal.append(step)
+    down_to_goal = [(edge, -d) for edge, d in reversed(up_from_goal)]
+    return up_from_start + down_to_goal
+
+
+def cycle_basis(graph) -> list[list[Step]]:
+    """Fundamental cycles of the spanning forest, one per non-tree copy.
+
+    Each cycle is a closed walk given as (edge, direction) steps; the
+    walks span the cycle space of the underlying multigraph.  Extra
+    parallel copies of a tree edge yield two-step cycles whose cycle
+    vector is zero.
+    """
+    forest = _forest(graph)
+    tree_keys = forest[2]
+    cycles = []
+    for key, count in graph.edge_items():
+        surplus = count - (1 if key in tree_keys else 0)
+        if surplus <= 0:
+            continue
+        edge = _instance(graph, key)
+        walk = [(edge, 1)] + _tree_path(forest, edge.head, edge.tail)
+        cycles.extend([list(walk)] * surplus)
+    return cycles
+
+
+def cycle_vector(graph, walk: list[Step]) -> tuple[int, ...]:
+    """Net signed traversal count per edge vector along a closed cycle.
+
+    The walk must consist of edges of the graph, chain end to end,
+    return to its start, and repeat no vertex other than first = last.
+    """
+    if not walk:
+        raise ValueError("empty walk")
+    present = {key for key, _ in graph.edge_items()}
+    visited = []
+    pos = None
+    for edge, direction in walk:
+        if (edge.tail, edge.vec_index) not in present:
+            raise ValueError(f"edge {edge} not in graph")
+        start, end = (edge.tail, edge.head) if direction == 1 else (edge.head, edge.tail)
+        if pos is None:
+            visited.append(start)
+        elif start != pos:
+            raise ValueError(f"walk breaks at {pos}: next step starts at {start}")
+        visited.append(end)
+        pos = end
+    if visited[0] != visited[-1]:
+        raise ValueError("walk is not closed")
+    interior = visited[1:-1]
+    if len(set(interior)) != len(interior) or visited[0] in interior:
+        raise ValueError("walk repeats a vertex; not a cycle")
+    chi = [0] * graph.system.n
+    for edge, direction in walk:
+        chi[edge.vec_index] += direction
+    return tuple(chi)
 
 
 def window_instances(sys, window):

@@ -27,6 +27,8 @@ from oracles import (
     brute_force_cuts,
     brute_force_is_prime,
     brute_force_kirchhoff_graphs,
+    cycle_basis,
+    cycle_vector,
 )
 
 SQUARE_ROWS = [[2, 0, 1, 1], [0, 2, 1, -1]]
@@ -194,7 +196,7 @@ def test_criterion_6_property_suites(square, steep, shear):
             assert g.is_kirchhoff().ok
             if g.is_vector_2_connected():
                 assert g.multiplicity().uniform
-            chis = [g.cycle_vector(w) for w in g.cycle_basis()]
+            chis = [cycle_vector(g, w) for w in cycle_basis(g)]
             for v in g.vertices:
                 lam = g.vertex_cut(v)
                 for chi in chis:

@@ -171,6 +171,42 @@ def test_parse_document_rejects_bad_schema():
         pd(json.dumps({"schema": "other/9"}))
 
 
+def _set(field, value):
+    return lambda graph: graph["edges"][0].update({field: value})
+
+
+def _alias(field, period=None):
+    """Shift an index down by one period, so Python indexing would still
+    land on the same item: the check, not the geometry, must reject it."""
+
+    def mangle(graph):
+        graph["edges"][0][field] -= period or len(graph["vertices"])
+
+    return mangle
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        pytest.param(_set("vec_index", 4), id="vec_index past n"),
+        pytest.param(_alias("vec_index", 4), id="negative vec_index"),
+        pytest.param(_set("tail", 99), id="tail past vertices"),
+        pytest.param(_set("head", 99), id="head past vertices"),
+        pytest.param(_alias("tail"), id="negative tail"),
+        pytest.param(_alias("head"), id="negative head"),
+        pytest.param(_set("count", "2"), id="string count"),
+        pytest.param(lambda graph: graph.update(edges=5), id="non-list edges"),
+    ],
+)
+def test_malformed_document_exits_2(tmp_path, square_doc, capsys, mangle):
+    doc = json.loads(square_doc.read_text())
+    mangle(doc["graphs"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--doc", str(bad)]) == 2
+    assert "bad document:" in capsys.readouterr().err
+
+
 # -- verify ----------------------------------------------------------------------
 
 

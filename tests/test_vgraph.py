@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
 from kirchgraph.exactalg import build_row_system, span_rank
-from kirchgraph.vgraph import EdgeInstance, KirchhoffVerdict, VectorGraph
-from oracles import translation_keys
+from kirchgraph.vgraph import KirchhoffVerdict, VectorGraph
+from oracles import EdgeInstance, cycle_basis, cycle_vector, translation_keys
 
 SQUARE = [[2, 0, 1, 1], [0, 2, 1, -1]]
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
@@ -32,11 +32,18 @@ def triangle_graph(sys=None):
 # -- construction ---------------------------------------------------------
 
 
-def test_edge_geometry_enforced():
-    sys = square_system()
-    VectorGraph(sys, [EdgeInstance((0, 0), (2, 0), 0)])
-    with pytest.raises(ValueError):
-        VectorGraph(sys, [EdgeInstance((0, 0), (1, 0), 0)])
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ({((0, 0), 4): 1}, "vec_index 4 out of range"),
+        ({((0, 0), -1): 1}, "vec_index -1 out of range"),
+        ({((0, 0, 0), 0): 1}, "wrong dimension"),
+        ({((0, 0), 0): -1}, "negative edge count"),
+    ],
+)
+def test_constructor_rejects_malformed_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        VectorGraph(square_system(), edges)
 
 
 def test_vertices_are_exactly_endpoints():
@@ -90,7 +97,7 @@ def test_cycle_vector_square_example():
         (EdgeInstance((1, 1), (2, 0), 3), 1),
         (EdgeInstance((0, 0), (2, 0), 0), -1),
     ]
-    chi = g.cycle_vector(walk)
+    chi = cycle_vector(g, walk)
     assert chi == (-1, 0, 1, 1)
     # geometric closure
     cols = sys.columns
@@ -103,7 +110,7 @@ def test_cycle_vector_forward_then_backward():
     sys = square_system()
     g = VectorGraph(sys, [((0, 0), 0)])
     e = EdgeInstance((0, 0), (2, 0), 0)
-    assert g.cycle_vector([(e, 1), (e, -1)]) == (0, 0, 0, 0)
+    assert cycle_vector(g, [(e, 1), (e, -1)]) == (0, 0, 0, 0)
 
 
 def test_cycle_vector_triangle():
@@ -113,7 +120,7 @@ def test_cycle_vector_triangle():
         (EdgeInstance((1, 0), (1, 1), 1), 1),
         (EdgeInstance((0, 0), (1, 1), 2), -1),
     ]
-    assert g.cycle_vector(walk) == (1, 1, -1)
+    assert cycle_vector(g, walk) == (1, 1, -1)
 
 
 def test_cycle_vector_rejects_broken_walks():
@@ -122,11 +129,11 @@ def test_cycle_vector_rejects_broken_walks():
     e1 = EdgeInstance((0, 0), (2, 0), 0)
     e2 = EdgeInstance((2, 0), (2, 2), 1)
     with pytest.raises(ValueError, match="not closed"):
-        g.cycle_vector([(e1, 1), (e2, 1)])
+        cycle_vector(g, [(e1, 1), (e2, 1)])
     with pytest.raises(ValueError, match="not in graph"):
-        g.cycle_vector([(EdgeInstance((5, 5), (7, 5), 0), 1)])
+        cycle_vector(g, [(EdgeInstance((5, 5), (7, 5), 0), 1)])
     with pytest.raises(ValueError, match="breaks"):
-        g.cycle_vector([(e1, 1), (e1, 1)])
+        cycle_vector(g, [(e1, 1), (e1, 1)])
 
 
 def test_cycle_vector_rejects_repeated_vertex():
@@ -145,7 +152,7 @@ def test_cycle_vector_rejects_repeated_vertex():
         (EdgeInstance((0, 0), (1, 1), 2), -1),
     ]
     with pytest.raises(ValueError, match="repeats"):
-        g.cycle_vector(walk)
+        cycle_vector(g, walk)
 
 
 # -- cycle basis ------------------------------------------------------------
@@ -153,21 +160,21 @@ def test_cycle_vector_rejects_repeated_vertex():
 
 def test_tree_has_empty_basis():
     g = VectorGraph(square_system(), [((0, 0), 0), ((0, 0), 1)])
-    assert g.cycle_basis() == []
+    assert cycle_basis(g) == []
 
 
 def test_triangle_basis_single_cycle():
     g = triangle_graph()
-    basis = g.cycle_basis()
+    basis = cycle_basis(g)
     assert len(basis) == 1
-    assert g.cycle_vector(basis[0]) in {(1, 1, -1), (-1, -1, 1)}
+    assert cycle_vector(g, basis[0]) in {(1, 1, -1), (-1, -1, 1)}
 
 
 def test_parallel_copies_give_zero_cycle():
     g = VectorGraph(square_system(), [((0, 0), 0, 2)])
-    basis = g.cycle_basis()
+    basis = cycle_basis(g)
     assert len(basis) == 1
-    assert g.cycle_vector(basis[0]) == (0, 0, 0, 0)
+    assert cycle_vector(g, basis[0]) == (0, 0, 0, 0)
 
 
 def test_basis_spans_cycle_space_of_two_triangles():
@@ -176,7 +183,7 @@ def test_basis_spans_cycle_space_of_two_triangles():
         sys,
         [((0, 0), 0), ((1, 0), 1), ((0, 0), 2), ((1, 1), 0), ((2, 1), 1), ((1, 1), 2)],
     )
-    basis = g.cycle_basis()
+    basis = cycle_basis(g)
     # 6 edges, 7 vertices? no: vertices {(0,0),(1,0),(1,1),(2,1),(2,2)} = 5, connected
     assert len(basis) == 6 - 5 + 1
 
@@ -191,7 +198,7 @@ def walk_verdict(g):
         cut = g.vertex_cut(v)
         if not sys.contains_in_row_space(cut):
             return KirchhoffVerdict("bad_vertex", vertex=v, cut=cut)
-    walked = [g.cycle_vector(w) for w in g.cycle_basis()]
+    walked = [cycle_vector(g, w) for w in cycle_basis(g)]
     assert all(sys.contains_in_null_space(chi) for chi in walked)
     rank, required = span_rank(walked), sys.n - sys.k
     if rank == required:
@@ -199,10 +206,18 @@ def walk_verdict(g):
     return KirchhoffVerdict("cycle_space_deficient", rank_found=rank, rank_required=required)
 
 
+def walk_coverage(g):
+    """Vector 2-connectivity read off the walks: every coordinate is
+    nonzero in some ``cycle_vector`` over ``cycle_basis()``."""
+    covered = {i for w in cycle_basis(g) for i, x in enumerate(cycle_vector(g, w)) if x}
+    return len(covered) == g.system.n
+
+
 def test_edge_vector_count_matches_the_walks_on_every_sub_multiset():
     # The cycle condition is a count once the cuts pass: checked against
     # the walks on every sub-multiset of three censuses, one of them in a
     # decomposable system where the count can fail after the cuts pass.
+    # Vector 2-connectivity from tree potentials is checked the same way.
     deficient = 0
     for rows, m_max in ((SQUARE, 2), (TRIANGLE, 3), (DECOMPOSABLE, 1)):
         sys = build_row_system(rows)
@@ -213,6 +228,7 @@ def test_edge_vector_count_matches_the_walks_on_every_sub_multiset():
                 part = VectorGraph(sys, {key: c for (key, _), c in zip(items, split) if c})
                 verdict = part.is_kirchhoff()
                 assert verdict == walk_verdict(part)
+                assert part.is_vector_2_connected() == walk_coverage(part)
                 deficient += verdict.status == "cycle_space_deficient"
     assert deficient == 32
 
@@ -238,6 +254,7 @@ def test_edge_vector_count_matches_the_walks_on_random_multisets(which, data):
     )
     g = VectorGraph(sys, [((base + x, y), idx, c) for base, x, y, idx, c in edges])
     assert g.is_kirchhoff() == walk_verdict(g)
+    assert g.is_vector_2_connected() == walk_coverage(g)
 
 
 # -- Kirchhoff conditions -----------------------------------------------------
@@ -271,7 +288,7 @@ def test_doubled_edge_alone_is_not_kirchhoff():
 
 def test_orthogonality_of_cuts_and_cycles():
     g = triangle_graph()
-    chis = [g.cycle_vector(w) for w in g.cycle_basis()]
+    chis = [cycle_vector(g, w) for w in cycle_basis(g)]
     for v in g.vertices:
         lam = g.vertex_cut(v)
         for chi in chis:
