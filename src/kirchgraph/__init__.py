@@ -1,89 +1,68 @@
-"""Exact enumeration and tiling algebra for uniform Kirchhoff graphs."""
+"""Exact enumeration and tiling algebra for uniform Kirchhoff graphs.
 
-from kirchgraph.exactalg import (
-    DegenerateShape,
-    ParallelColumns,
-    RankDeficient,
-    RationalMatrix,
-    RowSystem,
-    RowSystemError,
-    ZeroRowInC,
-    build_row_system,
-    enumerate_bounded_cuts,
-    rref,
-    span_rank,
-)
-from kirchgraph.vgraph import (
-    KirchhoffVerdict,
-    Multiplicity,
-    VectorGraph,
-)
-from kirchgraph.enumerator import (
-    Search,
-    SearchConfig,
-    SearchStats,
-    enumerate_kirchhoff,
-    min_multiplicity,
-)
-from kirchgraph.tiling import (
-    FamilyConstructionError,
-    KirchhoffViolation,
-    NoEmbeddingAtOffset,
-    Placement,
-    PrimalityVerdict,
-    SpanResult,
-    SystemMismatch,
-    TilingError,
-    TilingExpression,
-    add,
-    build_infinite_prime_family,
-    find_embeddings,
-    fundamental_sets,
-    is_prime,
-    span_contains,
-    subtract,
-)
-from kirchgraph.document import build_document, document_to_json, parse_document
+The public names below resolve on first access, so importing the package
+(or ``kirchgraph.cli``) loads none of its layers until a name is used.
+"""
 
-__all__ = [
-    "DegenerateShape",
-    "FamilyConstructionError",
-    "KirchhoffVerdict",
-    "KirchhoffViolation",
-    "Multiplicity",
-    "NoEmbeddingAtOffset",
-    "ParallelColumns",
-    "Placement",
-    "PrimalityVerdict",
-    "RankDeficient",
-    "RationalMatrix",
-    "RowSystem",
-    "RowSystemError",
-    "Search",
-    "SearchConfig",
-    "SearchStats",
-    "SpanResult",
-    "SystemMismatch",
-    "TilingError",
-    "TilingExpression",
-    "VectorGraph",
-    "ZeroRowInC",
-    "add",
-    "build_document",
-    "build_infinite_prime_family",
-    "build_row_system",
-    "document_to_json",
-    "enumerate_bounded_cuts",
-    "enumerate_kirchhoff",
-    "find_embeddings",
-    "fundamental_sets",
-    "is_prime",
-    "min_multiplicity",
-    "parse_document",
-    "rref",
-    "span_contains",
-    "span_rank",
-    "subtract",
-]
+from importlib import import_module
+
+_EXPORTS = {
+    "exactalg": (
+        "DegenerateShape",
+        "ParallelColumns",
+        "RankDeficient",
+        "RationalMatrix",
+        "RowSystem",
+        "RowSystemError",
+        "ZeroRowInC",
+        "build_row_system",
+        "enumerate_bounded_cuts",
+        "rref",
+        "span_rank",
+    ),
+    "vgraph": ("KirchhoffVerdict", "Multiplicity", "VectorGraph"),
+    "enumerator": (
+        "Search",
+        "SearchConfig",
+        "SearchStats",
+        "enumerate_kirchhoff",
+        "min_multiplicity",
+    ),
+    "tiling": (
+        "FamilyConstructionError",
+        "KirchhoffViolation",
+        "NoEmbeddingAtOffset",
+        "Placement",
+        "PrimalityVerdict",
+        "SpanResult",
+        "SystemMismatch",
+        "TilingError",
+        "TilingExpression",
+        "add",
+        "build_infinite_prime_family",
+        "find_embeddings",
+        "fundamental_sets",
+        "is_prime",
+        "span_contains",
+        "subtract",
+    ),
+    "document": ("build_document", "document_to_json", "parse_document"),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_LAYER_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

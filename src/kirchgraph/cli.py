@@ -12,26 +12,46 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from importlib import import_module
 from pathlib import Path
-
-from kirchgraph.document import build_document, document_to_json, parse_document
-from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff, min_multiplicity
-from kirchgraph.exactalg import RowSystemError, build_row_system
-from kirchgraph.render import render_dot, render_svg
-from kirchgraph.tiling import (
-    DEFAULT_COEFF_BOUND,
-    NoEmbeddingAtOffset,
-    Placement,
-    TilingExpression,
-    fundamental_sets,
-    is_prime,
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_TRUNCATED = 4
 EXIT_NO_EMBEDDING = 5
+
+
+def _deferred(layer: str, name: str):
+    """A stand-in for the function ``name`` of ``kirchgraph.<layer>`` that
+    imports the layer when called.  The subcommands call the stand-ins
+    through this module's attributes, so importing the CLI loads no layer,
+    and a wrapper set on one of these attributes sees every call."""
+
+    def stand_in(*args, **kwargs):
+        return getattr(import_module(f"kirchgraph.{layer}"), name)(*args, **kwargs)
+
+    stand_in.__name__ = stand_in.__qualname__ = name
+    return stand_in
+
+
+build_row_system = _deferred("exactalg", "build_row_system")
+enumerate_kirchhoff = _deferred("enumerator", "enumerate_kirchhoff")
+is_prime = _deferred("tiling", "is_prime")
+fundamental_sets = _deferred("tiling", "fundamental_sets")
+build_document = _deferred("document", "build_document")
+document_to_json = _deferred("document", "document_to_json")
+parse_document = _deferred("document", "parse_document")
+render_svg = _deferred("render", "render_svg")
+
+
+def _load(*layers: str) -> None:
+    """Import the layers a subcommand calls, at its start and ``tiling``,
+    the largest, first: a module compiled on a heap that the search or the
+    other layers have grown adds its compile's scratch memory to the peak
+    RSS."""
+    for layer in layers:
+        import_module(f"kirchgraph.{layer}")
 
 
 class CliError(Exception):
@@ -65,6 +85,8 @@ def _rational(tok: str):
 
 
 def _load_system(path: str):
+    from kirchgraph.exactalg import RowSystemError
+
     try:
         rows = parse_matrix_text(Path(path).read_text())
     except OSError as exc:
@@ -90,7 +112,9 @@ TERM_RE = re.compile(
 )
 
 
-def parse_expression(text: str, graphs_by_id: dict, k: int) -> TilingExpression:
+def parse_expression(text: str, graphs_by_id: dict, k: int):
+    from kirchgraph.tiling import Placement, TilingExpression
+
     placements = []
     pos = 0
     first = True
@@ -135,6 +159,11 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    if args.classify_prime:
+        _load("tiling")
+    _load("enumerator", "document")
+    from kirchgraph.enumerator import SearchConfig
+
     system = _load_system(args.matrix)
     config = SearchConfig(
         m_max=args.m_max,
@@ -178,6 +207,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tile(args) -> int:
+    _load("tiling", "document")
+    from kirchgraph.tiling import NoEmbeddingAtOffset
+
     system, graphs, doc = _load_document(args.doc)
     graphs_by_id = {entry["id"]: g for entry, g in zip(doc["graphs"], graphs)}
     expr = parse_expression(args.expression, graphs_by_id, system.k)
@@ -202,6 +234,9 @@ def cmd_tile(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _load("document", "render")
+    from kirchgraph.render import render_dot
+
     system, graphs, doc = _load_document(args.doc)
     if system.k > 2:
         print(
@@ -233,6 +268,11 @@ def cmd_render(args) -> int:
 
 
 def cmd_fundamental(args) -> int:
+    _load("tiling", "enumerator", "document")
+    from kirchgraph.enumerator import SearchConfig
+    from kirchgraph.tiling import DEFAULT_COEFF_BOUND
+
+    coeff_bound = DEFAULT_COEFF_BOUND if args.coeff_bound is None else args.coeff_bound
     system = _load_system(args.matrix)
     config = SearchConfig(m_max=args.m_max, workers=args.workers)
     graphs, stats = enumerate_kirchhoff(system, config)
@@ -242,9 +282,9 @@ def cmd_fundamental(args) -> int:
         print("no graphs to generate")
         return EXIT_OK
     doc = build_document(system, graphs, m_max=args.m_max)
-    subsets = fundamental_sets(graphs, coeff_bound=args.coeff_bound)
+    subsets = fundamental_sets(graphs, coeff_bound=coeff_bound)
     print(
-        f"{len(subsets)} fundamental set(s) under coeff bound {args.coeff_bound} "
+        f"{len(subsets)} fundamental set(s) under coeff bound {coeff_bound} "
         "(bound-relative: larger bounds could shrink these)"
     )
     for subset in subsets:
@@ -254,6 +294,8 @@ def cmd_fundamental(args) -> int:
 
 
 def cmd_min_multiplicity(args) -> int:
+    from kirchgraph.enumerator import min_multiplicity
+
     system = _load_system(args.matrix)
     result = min_multiplicity(system, args.m_limit)
     print("none" if result is None else result)
@@ -302,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_matrix_opts(p)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--coeff-bound", type=int, default=DEFAULT_COEFF_BOUND)
+    p.add_argument("--coeff-bound", type=int)
     p.set_defaults(func=cmd_fundamental)
 
     p = sub.add_parser("min-multiplicity", help="smallest m with any graph")

@@ -186,14 +186,19 @@ def parse_document(text: str) -> tuple[RowSystem, list[VectorGraph], dict]:
     graphs = []
     for entry in doc["graphs"]:
         verts = [tuple(v) for v in entry["vertices"]]
+        # type(x) is int rejects floats such as 1.0 and 1.5, and bools
+        if not all(type(x) is int for v in verts for x in v):
+            raise ValueError(f"graph {entry['id']} has a non-integer vertex coordinate")
         edges = {}
         heads = {}
         for e in entry["edges"]:
-            tail, head, idx = e["tail"], e["head"], e["vec_index"]
+            tail, head, idx, count = e["tail"], e["head"], e["vec_index"], e["count"]
+            if not type(tail) is type(head) is type(idx) is type(count) is int:
+                raise ValueError(f"edge {e} holds a non-integer value")
             if not (0 <= tail < len(verts) and 0 <= head < len(verts) and 0 <= idx < system.n):
                 raise ValueError(f"edge {e} indexes past the vertex list or the edge vectors")
             key = (verts[tail], idx)
-            edges[key] = edges.get(key, 0) + e["count"]
+            edges[key] = edges.get(key, 0) + count
             heads[key] = tuple(map(add, key[0], cols[idx]))
             if heads[key] != verts[head]:
                 raise ValueError(f"edge {e} is geometrically inconsistent")

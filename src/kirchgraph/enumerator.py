@@ -48,6 +48,8 @@ Scope and completeness:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add, and_, getitem, sub
 
 from kirchgraph.exactalg import RowSystem, enumerate_bounded_cuts
 from kirchgraph.vgraph import KirchhoffVerdict, VectorGraph
@@ -78,7 +80,6 @@ class SearchStats:
     prunes_negative_sum: int = 0
     candidates: int = 0
     graphs_found: int = 0
-    backtracks: int = 0
     complete: bool = True
 
     def merge(self, other: "SearchStats") -> None:
@@ -86,7 +87,6 @@ class SearchStats:
         self.prunes_multiplicity += other.prunes_multiplicity
         self.prunes_negative_sum += other.prunes_negative_sum
         self.candidates += other.candidates
-        self.backtracks += other.backtracks
         self.complete = self.complete and other.complete
 
 
@@ -101,22 +101,22 @@ class Search:
     is the high-level entry point.
 
     Moving vertex v from cut ``cur`` to target t adds |t_i - cur_i| copies
-    of vector i, so with r_i = m_max - counts[i] the targets within the
-    multiplicity cap form a box: cur_i - r_i <= t_i <= cur_i + r_i for
-    every i.  ``_le[i][x + m_max]`` and ``_ge[i][x + m_max]`` are bitmasks
-    over ``lam`` (bit j for ``lam[j]``) of the cuts with t_i <= x and
-    t_i >= x; ``_box_mask`` ANDs them, so ``_visit`` hands ``_apply`` only
-    the cuts inside the box, in list order.
+    of vector i, so the targets within the multiplicity cap form a box:
+    |t_i - cur_i| <= m_max - counts[i] for every i.  ``_box[i][c][k]`` is
+    the bitmask over ``lam`` (bit j for ``lam[j]``) of the cuts t with
+    |t_i - c| <= m_max - k; ``_box_mask`` ANDs one entry per vector, so
+    ``_visit`` hands ``_apply`` only the cuts inside the box, in list
+    order.  ``_apply`` still checks the cap, as callers may pass any cut.
     """
 
     def __init__(self, sys: RowSystem, config: SearchConfig):
         self.sys = sys
         self.config = config
-        self.n = sys.n
+        self.n = n = sys.n
         self.cols = sys.columns
-        self.neg_cols = tuple(tuple(-x for x in col) for col in sys.columns)
-        self.m_max = config.m_max
-        self.lam = enumerate_bounded_cuts(sys, config.m_max)
+        self.colsums = tuple(map(sum, sys.columns))
+        self.m_max = m = config.m_max
+        self.lam = enumerate_bounded_cuts(sys, m)
         # The zero cut stays on the assignment list: assigning it to a
         # pending vertex adds the net edges that cancel the cut accumulated
         # there, which is how pass-through vertices (nonzero degree, zero
@@ -124,16 +124,27 @@ class Search:
         # cut stalls on the empty graph.
         self.anchor_cuts = [c for c in self.lam if any(c)]
         self.rowset = frozenset(self.lam)
-        # every cut entry lies in [-m_max, m_max]
-        values = range(-self.m_max, self.m_max + 1)
-        self._all = (1 << len(self.lam)) - 1
-        self._le = [
-            [sum(1 << j for j, t in enumerate(self.lam) if t[i] <= x) for x in values]
-            for i in range(self.n)
-        ]
-        self._ge = [
-            [sum(1 << j for j, t in enumerate(self.lam) if t[i] >= x) for x in values]
-            for i in range(self.n)
+        # Cut entries, live cut entries (|cur_i| <= counts[i]) and steps d
+        # all lie in [-m, m].  A table over that range keeps the entry for
+        # x at x mod (2m + 1), so x indexes it directly.
+        span = range(-m, m + 1)
+
+        def by_value(entries):
+            return entries[m:] + entries[:m]
+
+        self._box = []
+        for i in range(n):
+            at = dict.fromkeys(span, 0)  # the cuts with t_i == x
+            for j, t in enumerate(self.lam):
+                at[t[i]] |= 1 << j
+            self._box.append(by_value([
+                [sum(at[x] for x in span if abs(x - c) <= m - k) for k in range(m + 1)]
+                for c in span
+            ]))
+        # _unit[i][d]: the cut -d e_i of a vertex created by a step d on vector i
+        self._unit = [
+            by_value([tuple(-d if h == i else 0 for h in range(n)) for d in span])
+            for i in range(n)
         ]
         self.stats = SearchStats()
         self.truncated = False
@@ -197,23 +208,11 @@ class Search:
                 # a truncated search never tries the cuts after lam[j]
                 stats.prunes_multiplicity -= len(lam) - 1 - j - mask.bit_count()
                 return
-        stats.backtracks += 1
 
     def _box_mask(self, cur) -> int:
         """Bitmask over ``lam`` of the cuts a vertex with cut ``cur`` can
-        move to without any per-vector count exceeding ``m_max``.
-
-        |cur_i| <= counts[i], so both box bounds lie in [-m_max, m_max].
-        """
-        m = self.m_max
-        mask = self._all
-        for i, (c, k) in enumerate(zip(cur, self.counts)):
-            r = m - k
-            if c - r > -m:
-                mask &= self._ge[i][c - r + m]
-            if c + r < m:
-                mask &= self._le[i][c + r + m]
-        return mask
+        move to without any per-vector count exceeding ``m_max``."""
+        return reduce(and_, map(getitem, map(getitem, self._box, cur), self.counts))
 
     def _apply(self, v: Coord, target, rest):
         """Add the net edges turning v's cut into target.
@@ -223,64 +222,77 @@ class Search:
         """
         cuts = self.cuts
         counts = self.counts
+        m = self.m_max
         cur = cuts[v]
-        deltas = [(i, t - c) for i, (t, c) in enumerate(zip(target, cur)) if t != c]
+        deltas = []
+        for i, d in enumerate(map(sub, target, cur)):
+            if d:
+                ad = d if d > 0 else -d
+                if counts[i] + ad > m:
+                    self.stats.prunes_multiplicity += 1
+                    return None
+                deltas.append((i, d, ad))
         if not deltas:
             return None
-        for i, d in deltas:
-            if counts[i] + (d if d > 0 else -d) > self.m_max:
-                self.stats.prunes_multiplicity += 1
-                return None
-        check_sum = self.config.prune_negative_sum
-        neighbors = []
-        for i, d in deltas:
-            col = self.cols[i] if d > 0 else self.neg_cols[i]
-            w = tuple(a + b for a, b in zip(v, col))
-            if check_sum and w not in cuts and sum(w) < 0:
-                self.stats.prunes_negative_sum += 1
-                return None
-            neighbors.append(w)
+        cols = self.cols
+        if self.config.prune_negative_sum:
+            colsums = self.colsums
+            total = sum(v)
+            for i, d, _ in deltas:
+                if (total + colsums[i] if d > 0 else total - colsums[i]) < 0:
+                    if tuple(map(add if d > 0 else sub, v, cols[i])) not in cuts:
+                        self.stats.prunes_negative_sum += 1
+                        return None
 
         edges = self.edges
-        undo_cuts = []
-        undo_edges = []
-        appended = []
+        unit = self._unit
         rowset = self.rowset
-        for (i, d), w in zip(deltas, neighbors):
-            ad = d if d > 0 else -d
+        log = []
+        appended = []
+        # The edge vectors are pairwise non-parallel, so the neighbours are
+        # distinct and none is v: a new vertex is in neither ``rest`` nor
+        # ``appended``, and ``_undo`` may restore them in any order.
+        for i, d, ad in deltas:
+            if d > 0:
+                w = tuple(map(add, v, cols[i]))
+                key = (v, i)
+            else:
+                w = tuple(map(sub, v, cols[i]))
+                key = (w, i)
             counts[i] += ad
-            key = (v, i) if d > 0 else (w, i)
             edges[key] = edges.get(key, 0) + ad
-            undo_edges.append((key, ad))
             old = cuts.get(w)
-            cl = [0] * self.n if old is None else list(old)
-            cl[i] -= d
-            neww = tuple(cl)
-            cuts[w] = neww
-            undo_cuts.append((w, old))
-            if neww not in rowset and w not in rest and w not in appended:
-                appended.append(w)
-        undo_cuts.append((v, cur))
+            if old is None:
+                cuts[w] = new = unit[i][d]
+                if new not in rowset:
+                    appended.append(w)
+            else:
+                cl = list(old)
+                cl[i] -= d
+                cuts[w] = new = tuple(cl)
+                if new not in rowset and w not in rest:
+                    appended.append(w)
+            log.append((key, ad, w, old))
         cuts[v] = target
-        return list(rest) + appended, (undo_edges, undo_cuts)
+        return [*rest, *appended], (v, cur, log)
 
     def _undo(self, undo) -> None:
-        undo_edges, undo_cuts = undo
+        v, cur, log = undo
         edges = self.edges
         counts = self.counts
-        for key, ad in undo_edges:
+        cuts = self.cuts
+        for key, ad, w, old in log:
             left = edges[key] - ad
             if left:
                 edges[key] = left
             else:
                 del edges[key]
             counts[key[1]] -= ad
-        cuts = self.cuts
-        for w, old in reversed(undo_cuts):
             if old is None:
                 del cuts[w]
             else:
                 cuts[w] = old
+        cuts[v] = cur
 
     # -- candidate handling -------------------------------------------
 

@@ -185,6 +185,12 @@ def _alias(field, period=None):
     return mangle
 
 
+def _float_vertex(graph):
+    """Write one coordinate as a float of the same value, e.g. 0.0."""
+    vertex = graph["vertices"][0]
+    vertex[0] = float(vertex[0])
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -195,6 +201,9 @@ def _alias(field, period=None):
         pytest.param(_alias("tail"), id="negative tail"),
         pytest.param(_alias("head"), id="negative head"),
         pytest.param(_set("count", "2"), id="string count"),
+        pytest.param(_set("count", 1.5), id="fractional count"),
+        pytest.param(_set("count", True), id="bool count"),
+        pytest.param(_float_vertex, id="float vertex"),
         pytest.param(lambda graph: graph.update(edges=5), id="non-list edges"),
     ],
 )
