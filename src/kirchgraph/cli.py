@@ -268,7 +268,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_fundamental(args) -> int:
-    _load("tiling", "enumerator", "document")
+    _load("tiling", "enumerator")
     from kirchgraph.enumerator import SearchConfig
     from kirchgraph.tiling import DEFAULT_COEFF_BOUND
 
@@ -281,14 +281,15 @@ def cmd_fundamental(args) -> int:
     if not graphs:
         print("no graphs to generate")
         return EXIT_OK
-    doc = build_document(system, graphs, m_max=args.m_max)
     subsets = fundamental_sets(graphs, coeff_bound=coeff_bound)
     print(
         f"{len(subsets)} fundamental set(s) under coeff bound {coeff_bound} "
         "(bound-relative: larger bounds could shrink these)"
     )
+    # enumerate_kirchhoff returns the graphs in the canonical order that
+    # a document numbers, so graph i is the document's G{i}
     for subset in subsets:
-        names = ", ".join(doc["graphs"][i]["id"] for i in subset)
+        names = ", ".join(f"G{i}" for i in subset)
         print(f"  {{{names}}}")
     return EXIT_OK
 

@@ -5,9 +5,14 @@ lattice offset and merge edge multisets; differences remove an embedded
 translate.  The sum of two Kirchhoff graphs is Kirchhoff (the sum
 theorem): each vertex cut of the sum is the sum of the operands' cuts,
 so it stays in Row(R), and the sum's cycle space contains both
-operands' cycle spaces, so its cycle vectors still span Null(R).  A sum
-of verified operands therefore takes its verdict from the theorem; a sum
-with an unverified operand, and every difference, is checked.
+operands' cycle spaces, so its cycle vectors still span Null(R).  The
+difference theorem is weaker: each vertex cut of g1 - g2 is a
+difference of Row(R) members, so it stays in Row(R), and by the
+edge-vector count (``VectorGraph.is_kirchhoff``) the difference is
+Kirchhoff iff every edge vector still occurs.  An operation on verified
+operands therefore takes its verdict from the theorem; one with an
+unverified operand, and a difference that lost an edge vector, is
+checked (the check raises with the exact verdict).
 
 On top of those two moves sit: subgraph-embedding search,
 primality (no bipartition of the edges into two Kirchhoff parts),
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul, sub
 
 from kirchgraph.exactalg import build_row_system
 from kirchgraph.vgraph import Coord, KirchhoffVerdict, VectorGraph
@@ -162,7 +168,15 @@ def find_embeddings(host: VectorGraph, pattern: VectorGraph) -> list[Coord]:
 
 
 def subtract(g1: VectorGraph, g2: VectorGraph, offset: Coord) -> VectorGraph:
-    """Remove the copy of g2 embedded at ``offset`` from g1."""
+    """Remove the copy of g2 embedded at ``offset`` from g1.
+
+    Raises NoEmbeddingAtOffset if no such copy is there, and
+    KirchhoffViolation if the result is not Kirchhoff.  When both
+    operands' (cached) verdicts are "ok" or "trivial", the difference
+    theorem gives the verdict: "trivial" if nothing is left, "ok" if
+    every edge vector occurs.  A difference that lost an edge vector, or
+    has an operand of any other verdict, is verified.
+    """
     _require_same_system(g1, g2)
     if g2.is_empty:
         return g1
@@ -175,7 +189,16 @@ def subtract(g1: VectorGraph, g2: VectorGraph, offset: Coord) -> VectorGraph:
             del edges[key]
         else:
             edges[key] = have - c
-    return _verify(VectorGraph(g1.system, edges), "difference")
+    result = VectorGraph(g1.system, edges)
+    s1, s2 = g1.is_kirchhoff().status, g2.is_kirchhoff().status
+    if s1 in _KIRCHHOFF and s2 in _KIRCHHOFF:
+        if not edges:
+            result._verdict = KirchhoffVerdict("trivial")
+            return result
+        if len({idx for _, idx in edges}) == g1.system.n:
+            result._verdict = KirchhoffVerdict("ok")
+            return result
+    return _verify(result, "difference")
 
 
 # -- primality ----------------------------------------------------------
@@ -188,8 +211,10 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
     Depth-first split with propagation: edges are assigned part by part
     in vertex order, and as soon as a vertex has all incident edges
     assigned, both parts' cuts there must lie in the row space or the
-    branch dies.  At a leaf every vertex has passed that test, so a part
-    is Kirchhoff iff it uses every edge vector (see
+    branch dies.  The graph's own cut lies there and is the sum of the
+    parts' cuts, so only part A's cut is tested.  At a leaf every vertex
+    has passed that test, so a part is Kirchhoff iff it uses every edge
+    vector (see
     ``VectorGraph.is_kirchhoff``).  The first edge is pinned to part A to
     break the A/B symmetry.  Exhausting the tree proves primality;
     ``budget`` caps the node count, returning "unknown" when exceeded.
@@ -215,16 +240,15 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
             last_key_at[vi] = ki
 
     cuts_a = [[0] * n for _ in vertices]
-    total_cut = {v: graph.vertex_cut(v) for v in vertices}
     assigned: list[int] = [0] * len(keys)
     nodes = 0
 
     in_row = system.contains_in_row_space
 
     def vertex_ok(vi: int) -> bool:
-        a = tuple(cuts_a[vi])
-        b = tuple(t - x for t, x in zip(total_cut[vertices[vi]], a))
-        return in_row(a) and in_row(b)
+        # part B's cut is the graph's (in Row(R)) minus part A's, so it
+        # lies in Row(R) exactly when part A's does
+        return in_row(tuple(cuts_a[vi]))
 
     def kirchhoff_part(part_counts) -> VectorGraph | None:
         """The part with these edge counts, if it uses every edge vector;
@@ -299,6 +323,21 @@ class SpanResult:
         return self.status == "yes"
 
 
+class _Filled(dict):
+    """A dict that fills a missing entry with ``fill(key)``; a hit is a
+    plain C-level lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def _default_window(target: VectorGraph, generators) -> tuple[Coord, Coord]:
     lo, hi = target.bounding_box()
     k = target.system.k
@@ -336,6 +375,16 @@ def span_contains(
     subtractions only enlarges the intermediate multisets their
     embeddings are checked against.
 
+    Inside the search an edge key is one integer.  Every key it can meet
+    has its tail in one coordinate box: the target's tails and the
+    generators' tails shifted by the offsets of the window.  The key
+    (tail, vec_index) packs to the mixed-radix number whose digits are
+    the tail's coordinates, taken from the box's low corner, most
+    significant first, and then vec_index.  So int order is the lex order
+    of (tail, vec_index), which breaks ties between equally constrained
+    keys, and a copy translated by an offset has every key moved by one
+    integer.  The placements returned carry their offsets as tuples.
+
     A "no_within_bounds" answer is not a proof of non-membership.
     """
     generators = list(generators)
@@ -351,108 +400,129 @@ def span_contains(
         return SpanResult("yes", TilingExpression(()))
 
     target = target.canonical()
-    window = offset_window or _default_window(target, generators)
-    lo, hi = window
-    k = target.system.k
+    lo, hi = offset_window or _default_window(target, generators)
+    n = target.system.n
 
     gen_items = [g.canonical().edge_items() for g in generators]
-    gen_sizes = [sum(c for _, c in items) for items in gen_items]
-    max_size = max(gen_sizes)
+    max_size = max(sum(c for _, c in items) for items in gen_items)
 
-    def within(off):
-        return all(lo[d] <= off[d] <= hi[d] for d in range(k))
+    # the box of reachable tails, per coordinate, and its place values
+    tails = zip(*(t for t, _ in target._edges))
+    gen_tails = zip(*(t for items in gen_items for (t, _), _ in items))
+    box = [
+        (min(min(ts), min(gs) + a), max(max(ts), max(gs) + z))
+        for ts, gs, a, z in zip(tails, gen_tails, lo, hi)
+    ]
+    low = [b for b, _ in box]
+    strides = []
+    place = n
+    for b, t in reversed(box):
+        strides.insert(0, place)
+        place *= t - b + 1
 
-    # demand: edge key -> target count minus placed count (may be negative)
-    demand = dict(target._edges)
-    memo: set = set()
-    committed = [0] * len(generators)  # per-generator sign, 0 while unused
-    nodes = 0
+    def pack(tail, idx):
+        return sum((x - b) * s for x, b, s in zip(tail, low, strides)) + idx
 
+    # pack is linear in the tail: a generator key at offset 0 may fall
+    # outside the box, but the key of its copy at an in-window offset,
+    # pack(pt, pi) + shift(offset), falls inside
+    gen_keys = [[(pack(pt, pi), pc) for (pt, pi), pc in items] for items in gen_items]
     # generator edges by vec_index, in generator order then item order
     tails_by_index: dict[int, list[tuple[int, Coord]]] = {}
     for gi, items in enumerate(gen_items):
         for (pt, pi), _ in items:
             tails_by_index.setdefault(pi, []).append((gi, pt))
-    # edge key -> in-window (gi, offset) alignments over it
-    aligned: dict[tuple[Coord, int], list[tuple[int, Coord]]] = {}
-    # (key, sign, committed signs) -> the alignments those signs allow
-    options: dict[tuple, list[tuple[int, Coord]]] = {}
-    # (gi, offset) -> the placed copy's edge keys with counts
-    shifted: dict[tuple[int, Coord], list[tuple[tuple[Coord, int], int]]] = {}
+    # per generator: offset shift -> the placed copy's keys with counts
+    shifted: list[dict[int, list[tuple[int, int]]]] = [{} for _ in generators]
 
-    def options_for(key, sign, signs):
-        """Aligned placements of a generator edge over key, honoring the
-        one-coefficient-per-generator sign commitments ``signs``; fills
-        the ``options`` cache."""
-        every = aligned.get(key)
-        if every is None:
-            pos, idx = key
-            every = aligned[key] = []
-            for gi, pt in tails_by_index.get(idx, ()):
-                off = tuple(a - b for a, b in zip(pos, pt))
-                if within(off):
-                    every.append((gi, off))
-        opts = options[key, sign, signs] = [
-            (gi, off) for gi, off in every if signs[gi] != -sign
-        ]
-        return opts
+    def alignments(key):
+        """In-window placements (gi, offset, placed keys) of a generator
+        edge over ``key``."""
+        tail, idx = [], key
+        for b, s in zip(low, strides):
+            digit, idx = divmod(idx, s)
+            tail.append(b + digit)
+        found = []
+        for gi, pt in tails_by_index.get(idx, ()):
+            off = tuple(map(sub, tail, pt))
+            if all(a <= x <= z for a, x, z in zip(lo, off, hi)):
+                shift = sum(map(mul, off, strides))
+                placed = shifted[gi].get(shift)
+                if placed is None:
+                    placed = shifted[gi][shift] = [(pk + shift, pc) for pk, pc in gen_keys[gi]]
+                found.append((gi, off, placed))
+        return found
 
-    def pick_mismatch(signs):
-        """Most-constrained pending key: the least (max(#alignments, 1),
-        key), i.e. the first key in lex order with at most one alignment,
-        else the fewest alignments with ties lex."""
-        best = None
-        for key, c in demand.items():
-            sign = 1 if c > 0 else -1
-            opts = options.get((key, sign, signs))
-            if opts is None:
-                opts = options_for(key, sign, signs)
-            rank = (len(opts) or 1, key)
-            if best is None or rank < best[0]:
-                best = (rank, key, opts)
-        return (best[1], best[2]) if best else (None, [])
+    aligned = _Filled(alignments)
 
-    def apply_gen(gi, off, sign):
-        placed = shifted.get((gi, off))
-        if placed is None:
-            placed = shifted[gi, off] = [
-                ((tuple(a + b for a, b in zip(pt, off)), pi), pc)
-                for (pt, pi), pc in gen_items[gi]
-            ]
+    def ranking(signs):
+        """The ``pick_mismatch`` table under the sign commitments
+        ``signs``: demand item (key, count) -> (max(#options, 1), key,
+        options), the aligned placements that the commitments allow.
+        Items of one key and sign share their entry."""
+        shared: dict[tuple[int, int], tuple] = {}
+
+        def rank(item):
+            key, count = item
+            sign = 1 if count > 0 else -1
+            entry = shared.get((key, sign))
+            if entry is None:
+                opts = [a for a in aligned[key] if signs[a[0]] != -sign]
+                entry = shared[key, sign] = (len(opts) or 1, key, opts)
+            return entry
+
+        return _Filled(rank)
+
+    tables = _Filled(ranking)
+
+    # demand: packed edge key -> target count minus placed count (may be
+    # negative); gap: the sum of its absolute values
+    demand = {pack(t, i): c for (t, i), c in target._edges.items()}
+    gap = sum(demand.values())
+    memo: set = set()
+    committed = [0] * len(generators)  # per-generator sign, 0 while unused
+    nodes = 0
+
+    def apply_gen(placed, sign):
+        nonlocal gap
         for key, pc in placed:
-            left = demand.get(key, 0) - sign * pc
+            have = demand.get(key, 0)
+            left = have - sign * pc
+            gap += abs(left) - abs(have)
             if left:
                 demand[key] = left
             else:
-                demand.pop(key, None)
+                del demand[key]
 
     def search(budget, placements):
         nonlocal nodes
         nodes += 1
-        signs = tuple(committed)
-        key, opts = pick_mismatch(signs)
-        if key is None:
+        if not demand:
             return list(placements)
+        signs = tuple(committed)
+        # pick_mismatch: the most constrained pending key, the least
+        # (max(#options, 1), key): the first key in lex order with at
+        # most one option, else the fewest options with ties lex
+        _, key, opts = min(map(tables[signs].__getitem__, demand.items()))
         if budget == 0 or not opts:
             return None
-        total_gap = sum(abs(c) for c in demand.values())
-        if total_gap > budget * max_size:
+        if gap > budget * max_size:
             return None
         state = (tuple(sorted(demand.items())), signs, budget)
         if state in memo:
             return None
         memo.add(state)
         sign = 1 if demand[key] > 0 else -1
-        for gi, off in opts:
+        for gi, off, placed in opts:
             prev = committed[gi]
             committed[gi] = sign
-            apply_gen(gi, off, sign)
+            apply_gen(placed, sign)
             placements.append((gi, off, sign))
             res = search(budget - 1, placements)
             if res is not None:
                 return res
             placements.pop()
-            apply_gen(gi, off, -sign)
+            apply_gen(placed, -sign)
             committed[gi] = prev
         return None
 
@@ -463,9 +533,11 @@ def span_contains(
         if solution is not None:
             break
     # ``search`` refers to itself, so these closures form a reference cycle
-    # that lives until the next cyclic collection; free the memo, the bulk
-    # of it, now.
+    # that lives until the next cyclic collection; free the memo and the
+    # tables, the bulk of it, now.
     memo.clear()
+    tables.clear()
+    aligned.clear()
     if solution is None:
         return SpanResult("no_within_bounds", nodes=nodes)
     adds = [p for p in solution if p[2] > 0]

@@ -416,6 +416,23 @@ def test_fundamental_command(square_matrix, capsys):
     assert "bound-relative" in out
 
 
+def test_fundamental_names_are_the_document_ids(tmp_path, capsys):
+    # The command names graph i G{i}; the document of the same census
+    # gives the graphs of each printed set those ids.
+    from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
+    from kirchgraph.tiling import fundamental_sets
+
+    matrix = tmp_path / "shear.txt"
+    matrix.write_text("1 0 2 1\n0 1 1 2\n")
+    assert main(["fundamental", "--matrix", str(matrix), "--m-max", "6"]) == 0
+    printed = re.findall(r"\{(.*)\}", capsys.readouterr().out)
+    system = build_row_system([[1, 0, 2, 1], [0, 1, 1, 2]])
+    graphs, _ = enumerate_kirchhoff(system, SearchConfig(m_max=6))
+    doc = build_document(system, graphs, m_max=6)
+    by_doc = [", ".join(doc["graphs"][i]["id"] for i in subset) for subset in fundamental_sets(graphs)]
+    assert printed == by_doc == ["G0, G1, G2", "G0, G1, G3", "G0, G2, G3", "G1, G2, G3"]
+
+
 def test_min_multiplicity_command(square_matrix, capsys):
     assert main(["min-multiplicity", "--matrix", str(square_matrix), "--m-limit", "2"]) == 0
     assert capsys.readouterr().out.strip() == "2"

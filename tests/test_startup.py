@@ -51,6 +51,9 @@ def test_subcommands_load_only_their_layers(tmp_path):
     layers = loaded_layers(run_cli(["verify", "--doc", doc]))
     assert "document" in layers
     assert not layers & {"enumerator", "tiling", "render"}
+    layers = loaded_layers(run_cli(["fundamental", "--matrix", matrix, "--m-max", "2"]))
+    assert {"tiling", "enumerator"} <= layers
+    assert not layers & {"document", "render"}
 
 
 def test_public_names_resolve_on_first_access():

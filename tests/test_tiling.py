@@ -213,6 +213,77 @@ def test_grid_minus_doubled_is_prime():
 def test_subtract_everything_gives_trivial():
     f1, _ = square_pair()
     assert subtract(f1, f1, (0, 0)).is_empty
+    assert subtract(f1, f1, (0, 0)).is_kirchhoff().status == "trivial"
+
+
+def record_results(monkeypatch):
+    """Patch tiling's add and subtract to collect every result."""
+    results = []
+    for name in ("add", "subtract"):
+        op = getattr(tiling, name)
+
+        def recording(*args, op=op):
+            results.append(op(*args))
+            return results[-1]
+
+        monkeypatch.setattr(tiling, name, recording)
+    return results
+
+
+def test_difference_theorem_verdicts_match_a_fresh_check(monkeypatch):
+    # Every sum and difference that builds prime family members, and the
+    # j = 48 member as a left-to-right expression (98 sums, 48
+    # differences), stores the verdict a fresh check gives.
+    _, spread, doubled, t1, t2, emb0 = tiling._square_family_geometry()
+    results = record_results(monkeypatch)
+    for j in (1, 2, 5):
+        build_infinite_prime_family(j)
+    adds = [
+        Placement(spread, tuple(row * b + c for b, c in zip(t2, col)), 1)
+        for row in range(49)
+        for col in ((0, 0), t1)
+    ]
+    subs = [Placement(doubled, tuple(a + row * b for a, b in zip(emb0, t2)), -1) for row in range(48)]
+    member = TilingExpression(tuple(adds + subs)).evaluate()
+    assert member.multiplicity().m == 100
+    # member j takes 2j + 1 sums and j differences
+    assert len(results) == sum(3 * j + 1 for j in (1, 2, 5)) + 98 + 48
+    for g in results:
+        assert g.is_kirchhoff() == fresh_verdict(g)
+
+
+def test_subtract_with_a_non_kirchhoff_operand_is_verified():
+    # Two copies of f1 and one stray edge.  Removing a copy (Kirchhoff)
+    # or half of one (not) leaves a bad cut at the stray edge although
+    # every edge vector still occurs.
+    f1, _ = square_pair()
+    sys = f1.system
+    items = f1.edge_items()
+    stray = ((5, 5), 0)
+    host = add(f1, f1, (0, 10))
+    host = VectorGraph(sys, {**host._edges, stray: 1})
+    with pytest.raises(KirchhoffViolation, match="bad_vertex"):
+        subtract(host, f1, (0, 0))
+    half = VectorGraph(sys, dict(items[: len(items) // 2]))
+    with pytest.raises(KirchhoffViolation, match="bad_vertex"):
+        subtract(host, half, half.vertices[0])
+
+
+def test_difference_that_loses_an_edge_vector_is_verified():
+    # h is one lattice triangle of the decomposable system's first plane:
+    # its cuts lie in Row(R), but it uses three of the six edge vectors.
+    # g + h is Kirchhoff; taking g away again leaves h, which is not.
+    g = census(DECOMPOSABLE, 1)[0]
+    origin = (0, 0, 0, 0)
+    h = VectorGraph(g.system, [(origin, 0), ((1, 0, 0, 0), 1), (origin, 4)])
+    both = add(h, g, (3, 0, 0, 0))
+    assert both.is_kirchhoff().ok
+    with pytest.raises(KirchhoffViolation) as err:
+        subtract(both, g, (3, 0, 0, 0))
+    assert str(err.value) == (
+        "difference produced a non-Kirchhoff graph: KirchhoffVerdict("
+        "status='cycle_space_deficient', vertex=None, cut=None, rank_found=1, rank_required=2)"
+    )
 
 
 # -- primality ----------------------------------------------------------------
@@ -354,6 +425,42 @@ def test_span_search_keeps_its_order_on_shear():
     res = span_contains([g[2], g[3]], g[0])
     assert res.status == "no_within_bounds" and res.expression is None
     assert res.nodes == 884
+
+
+def test_span_search_on_the_cube_system_keeps_its_trees():
+    # k = 3: the packed keys carry three coordinate digits.  The target
+    # needs placements at offsets in all three coordinates, and removals.
+    # Status, nodes and placements recorded before the keys were packed.
+    g = census(((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)), 1)
+    assert len(g) == 6
+    expected = [
+        (4, (0, 0, 0), 1), (4, (0, 0, 1), 1), (4, (1, 0, 1), 1), (4, (1, 1, 1), 1),
+        (0, (0, 0, 1), -1), (5, (1, 0, 1), -1),
+    ]
+    target = TilingExpression(tuple(Placement(g[i], off, s) for i, off, s in expected)).evaluate()
+    res = span_contains(g, target)
+    assert res.status == "yes" and res.nodes == 403
+    found = [(g.index(p.graph), p.offset, p.sign) for p in res.expression.placements]
+    assert found == expected
+    res = span_contains([g[0], g[1]], g[2])
+    assert res.status == "no_within_bounds" and res.nodes == 49
+
+
+def test_span_search_with_a_window_that_excludes_the_origin():
+    # The target's keys at the origin lie outside every placed copy's
+    # reach, so the packing box must hold the target's tails as well:
+    # packed over the placed copies' box alone, a key with y = 0 would
+    # take a negative y digit that borrows from x.  Recorded before the
+    # keys were packed.
+    g = shear_graphs()
+    res = span_contains([g[1], g[2], g[3]], g[0], 8, ((1, 1), (5, 5)))
+    assert res.status == "no_within_bounds" and res.nodes == 8
+    res = span_contains([g[0], g[2], g[3]], g[1], 8, ((-4, 1), (6, 6)))
+    assert res.status == "no_within_bounds" and res.nodes == 8
+    res = span_contains([g[0], g[1], g[2]], g[3], 8, ((-4, 1), (6, 6)))
+    assert res.status == "yes" and res.nodes == 11
+    found = [(g.index(p.graph), p.offset, p.sign) for p in res.expression.placements]
+    assert found == [(1, (-1, 1), 1), (0, (0, 1), 1), (2, (-1, 1), -1)]
 
 
 def test_fundamental_sets_span_calls_keep_their_trees(monkeypatch):
