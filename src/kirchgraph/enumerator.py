@@ -43,18 +43,33 @@ Scope and completeness:
   triangle planes sharing no edge vectors, has m* = 1, and there the
   search finds 16 of the 36 graphs (two triangles joined at a vertex)
   that a scan of the {0,1}^4 box finds.
+
+Packed state.  Inside the search a vertex and a cut are each one int.
+Let L = n * m_max * max|column entry|.  A vertex x packs to
+sum(x[d] * B**(k-1-d)) with B = 2L + 1: balanced mixed-radix digits,
+most significant coordinate first.  Every coordinate the search meets
+lies in [-L, L], and so does every coordinate difference of two vertices
+of one partial graph: the graph grows from the anchor by adding edges
+at vertices it already has, so it is connected, and it holds at most
+n * m_max edge copies, so a path of at most n * m_max edges, each moving
+a coordinate by at most max|column entry|, joins any two of its
+vertices, the anchor at the origin included.  On that box packing is
+linear and one to one, int order is lex order, and the neighbour of v
+along vector i is v + step[i] or v - step[i].  A cut packs the same way,
+with half-width m_max and base 2 * m_max + 1: a live cut entry is a net
+count of copies of one vector, at most counts[i] <= m_max in size, so
+changing a vertex's cut by d e_i subtracts d * place[i].  Only
+``Search._emit`` unpacks, to the same canonical tuple key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import add, and_, getitem, sub
+from operator import and_, getitem, mul
 
 from kirchgraph.exactalg import RowSystem, enumerate_bounded_cuts
 from kirchgraph.vgraph import KirchhoffVerdict, VectorGraph
-
-Coord = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -90,15 +105,40 @@ class SearchStats:
         self.complete = self.complete and other.complete
 
 
+class _Radix:
+    """Integer tuples of length ``width``, every entry in [-half, half], as
+    single ints: balanced mixed-radix digits in base 2 * half + 1, most
+    significant entry first.  On that box ``pack`` is linear and one to
+    one, and int order is lex order."""
+
+    def __init__(self, half: int, width: int):
+        self.half = half
+        self.place = tuple((2 * half + 1) ** e for e in reversed(range(width)))
+        self._offset = half * sum(self.place)
+
+    def pack(self, x) -> int:
+        return sum(map(mul, x, self.place))
+
+    def unpack(self, code: int) -> tuple[int, ...]:
+        code += self._offset  # every digit moved into [0, 2 * half]
+        out = []
+        for place in self.place:
+            digit, code = divmod(code, place)
+            out.append(digit - self.half)
+        return tuple(out)
+
+
 class Search:
     """Incremental search state: the partial graph plus its to-do list.
 
-    ``cuts`` maps each live vertex to its accumulated cut, ``edges`` holds
-    the partial edge multiset, ``counts`` the per-vector totals.  ``_apply``
-    performs one cut assignment (returning an undo log), ``_visit`` drives
-    the recursion, ``run`` iterates anchor cuts.  Useful directly when a
-    test wants to poke one assignment at a time; ``enumerate_kirchhoff``
-    is the high-level entry point.
+    ``cuts`` maps each vertex of the partial graph to its accumulated cut
+    and ``counts`` holds the per-vector edge totals; vertices and cuts
+    are packed ints (``vertex`` and ``cut`` pack and unpack them, see the
+    module docstring).  ``_apply`` performs one cut assignment and pushes it,
+    ``_undo`` takes the last one back, ``_visit`` drives the recursion and
+    ``run`` iterates anchor cuts (``anchor_cuts``, packed).  Useful
+    directly when a test wants to poke one assignment at a time;
+    ``enumerate_kirchhoff`` is the high-level entry point.
 
     Moving vertex v from cut ``cur`` to target t adds |t_i - cur_i| copies
     of vector i, so the targets within the multiplicity cap form a box:
@@ -107,23 +147,33 @@ class Search:
     |t_i - c| <= m_max - k; ``_box_mask`` ANDs one entry per vector, so
     ``_visit`` hands ``_apply`` only the cuts inside the box, in list
     order.  ``_apply`` still checks the cap, as callers may pass any cut.
+
+    Three tables fill on first use, since a search meets few of the cuts
+    and vertices its bounds allow: per live cut its ``_box`` row, per
+    (cut, target) pair the steps of the move (``_steps``), and per vertex
+    (or difference of two) its coordinates, which the negative-sum prune
+    and ``_emit`` read.
     """
 
     def __init__(self, sys: RowSystem, config: SearchConfig):
         self.sys = sys
         self.config = config
         self.n = n = sys.n
-        self.cols = sys.columns
-        self.colsums = tuple(map(sum, sys.columns))
         self.m_max = m = config.m_max
         self.lam = enumerate_bounded_cuts(sys, m)
+        # the half-widths are proved in the module docstring
+        self.vertex = _Radix(n * m * max(abs(x) for col in sys.columns for x in col), sys.k)
+        self.cut = _Radix(m, n)
+        self._step = [self.vertex.pack(col) for col in sys.columns]
+        self._colsums = [sum(col) for col in sys.columns]
+        self._targets = [self.cut.pack(t) for t in self.lam]
         # The zero cut stays on the assignment list: assigning it to a
         # pending vertex adds the net edges that cancel the cut accumulated
         # there, which is how pass-through vertices (nonzero degree, zero
         # cut) get built.  Only the anchor skips it, since a zero anchor
         # cut stalls on the empty graph.
-        self.anchor_cuts = [c for c in self.lam if any(c)]
-        self.rowset = frozenset(self.lam)
+        self.anchor_cuts = [c for c in self._targets if c]
+        self.rowset = frozenset(self._targets)
         # Cut entries, live cut entries (|cur_i| <= counts[i]) and steps d
         # all lie in [-m, m].  A table over that range keeps the entry for
         # x at x mod (2m + 1), so x indexes it directly.
@@ -141,157 +191,178 @@ class Search:
                 [sum(at[x] for x in span if abs(x - c) <= m - k) for k in range(m + 1)]
                 for c in span
             ]))
-        # _unit[i][d]: the cut -d e_i of a vertex created by a step d on vector i
-        self._unit = [
-            by_value([tuple(-d if h == i else 0 for h in range(n)) for d in span])
-            for i in range(n)
-        ]
+        self._rows: dict[int, tuple] = {}
+        self._moves: dict[int, dict[int, tuple]] = {}
+        self._coords: dict[int, tuple] = {}
         self.stats = SearchStats()
         self.truncated = False
         self.found: dict[tuple, dict] = {}
         # mutable search state
-        self.cuts: dict[Coord, tuple[int, ...]] = {}
-        self.edges: dict[tuple[Coord, int], int] = {}
-        self.counts = [0] * self.n
+        self.cuts: dict[int, int] = {}
+        self.counts = [0] * n
+        self._applied: list[tuple] = []
 
     def run(self, anchor_indices) -> None:
-        origin = (0,) * self.sys.k
-        zero = (0,) * self.n
         for li in anchor_indices:
             if self.truncated:
                 break
-            self.cuts = {origin: zero}
-            self.edges = {}
+            self.cuts = {0: 0}  # the anchor: the origin, zero cut
             self.counts = [0] * self.n
-            applied = self._apply(origin, self.anchor_cuts[li], ())
-            if applied is None:
+            child = self._apply(0, self.anchor_cuts[li], ())
+            if child is None:
                 continue
-            todo, undo = applied
-            self._visit(todo)
-            self._undo(undo)
+            self._visit(child)
+            self._undo()
+
+    @property
+    def edges(self) -> dict[int, int]:
+        """The partial edge multiset, (tail, i) packed as tail * n + i."""
+        n = self.n
+        edges: dict[int, int] = {}
+        for v, _, steps, _ in self._applied:
+            base = v * n
+            for _, ad, _, _, _, key in steps:
+                key += base
+                edges[key] = edges.get(key, 0) + ad
+        return edges
 
     # -- search core --------------------------------------------------
 
     def _visit(self, todo) -> None:
         if self.truncated:
             return
-        self.stats.nodes_expanded += 1
+        stats = self.stats
+        stats.nodes_expanded += 1
         limit = self.config.node_limit
-        if limit is not None and self.stats.nodes_expanded > limit:
+        if limit is not None and stats.nodes_expanded > limit:
             self.truncated = True
             return
-        rowset = self.rowset
-        cuts = self.cuts
-        live = [v for v in todo if cuts[v] not in rowset]
-        if not live:
+        if not todo:
             self._emit()
             return
-        v = live[0]
-        rest = live[1:]
-        lam = self.lam
-        stats = self.stats
-        mask = self._box_mask(cuts[v])
+        v = todo[0]
+        rest = todo[1:]
+        targets = self._targets
+        mask = self._box_mask(self.cuts[v])
         # A live cut is not in lam, so every cut outside the box is one
         # that would have failed _apply's multiplicity check.
-        stats.prunes_multiplicity += len(lam) - mask.bit_count()
+        stats.prunes_multiplicity += len(targets) - mask.bit_count()
         while mask:
             low = mask & -mask
             mask ^= low
             j = low.bit_length() - 1
-            applied = self._apply(v, lam[j], rest)
-            if applied is None:
+            child = self._apply(v, targets[j], rest)
+            if child is None:
                 continue
-            child, undo = applied
             self._visit(child)
-            self._undo(undo)
+            self._undo()
             if self.truncated:
                 # a truncated search never tries the cuts after lam[j]
-                stats.prunes_multiplicity -= len(lam) - 1 - j - mask.bit_count()
+                stats.prunes_multiplicity -= len(targets) - 1 - j - mask.bit_count()
                 return
 
-    def _box_mask(self, cur) -> int:
+    def _box_mask(self, cur: int) -> int:
         """Bitmask over ``lam`` of the cuts a vertex with cut ``cur`` can
         move to without any per-vector count exceeding ``m_max``."""
-        return reduce(and_, map(getitem, map(getitem, self._box, cur), self.counts))
+        row = self._rows.get(cur)
+        if row is None:
+            row = self._rows[cur] = tuple(map(getitem, self._box, self.cut.unpack(cur)))
+        return reduce(and_, map(getitem, row, self.counts))
 
-    def _apply(self, v: Coord, target, rest):
-        """Add the net edges turning v's cut into target.
+    def _steps(self, cur: int, target: int) -> tuple:
+        """The steps that move a vertex's cut from ``cur`` to ``target``:
+        one (i, |d|, step, dsum, dcut, key) per vector i with
+        d = target_i - cur_i != 0.  The move adds |d| copies of vector i
+        between v and its neighbour w = v + step; w's coordinate sum is
+        v's plus dsum, w's cut loses dcut (the packed d e_i), and the
+        copies' edge key is v * n + key."""
+        n = self.n
+        steps = []
+        for i, (c, t) in enumerate(zip(self.cut.unpack(cur), self.cut.unpack(target))):
+            d = t - c
+            if d > 0:  # copies leave v
+                steps.append((i, d, self._step[i], self._colsums[i], d * self.cut.place[i], i))
+            elif d < 0:  # copies enter v, with their tail at w
+                step = -self._step[i]
+                steps.append((i, -d, step, -self._colsums[i], d * self.cut.place[i], step * n + i))
+        return tuple(steps)
 
-        Returns (child_todo, undo_log), or None when the assignment would
-        break the multiplicity cap or create a negative-sum vertex.
+    def _apply(self, v: int, target: int, rest):
+        """Add the net edges turning v's cut into ``target``; ``rest`` is
+        the rest of v's to-do list.
+
+        Returns the child to-do list: ``rest`` less the vertices this move
+        satisfied, then the ones it made live, so a to-do list holds only
+        live vertices.  Returns None when the assignment would break the
+        multiplicity cap or create a negative-sum vertex.  An assignment
+        made is kept for ``_undo``.
         """
         cuts = self.cuts
+        cur = cuts[v]
+        moves = self._moves.get(cur)
+        if moves is None:
+            moves = self._moves[cur] = {}
+        steps = moves.get(target)
+        if steps is None:
+            steps = moves[target] = self._steps(cur, target)
         counts = self.counts
         m = self.m_max
-        cur = cuts[v]
-        deltas = []
-        for i, d in enumerate(map(sub, target, cur)):
-            if d:
-                ad = d if d > 0 else -d
-                if counts[i] + ad > m:
-                    self.stats.prunes_multiplicity += 1
-                    return None
-                deltas.append((i, d, ad))
-        if not deltas:
+        for i, ad, _, _, _, _ in steps:
+            if counts[i] + ad > m:
+                self.stats.prunes_multiplicity += 1
+                return None
+        if not steps:
             return None
-        cols = self.cols
         if self.config.prune_negative_sum:
-            colsums = self.colsums
-            total = sum(v)
-            for i, d, _ in deltas:
-                if (total + colsums[i] if d > 0 else total - colsums[i]) < 0:
-                    if tuple(map(add if d > 0 else sub, v, cols[i])) not in cuts:
-                        self.stats.prunes_negative_sum += 1
-                        return None
+            x = self._coords.get(v)
+            if x is None:
+                x = self._coords[v] = self.vertex.unpack(v)
+            total = sum(x)
+            for _, _, step, dsum, _, _ in steps:
+                if total + dsum < 0 and v + step not in cuts:
+                    self.stats.prunes_negative_sum += 1
+                    return None
 
-        edges = self.edges
-        unit = self._unit
         rowset = self.rowset
-        log = []
+        olds = []
         appended = []
+        done = []
         # The edge vectors are pairwise non-parallel, so the neighbours are
-        # distinct and none is v: a new vertex is in neither ``rest`` nor
-        # ``appended``, and ``_undo`` may restore them in any order.
-        for i, d, ad in deltas:
-            if d > 0:
-                w = tuple(map(add, v, cols[i]))
-                key = (v, i)
-            else:
-                w = tuple(map(sub, v, cols[i]))
-                key = (w, i)
+        # distinct and none is v: each is touched once, a new vertex is in
+        # neither ``rest`` nor ``appended``, and ``_undo`` may restore them
+        # in any order.
+        for i, ad, step, _, dcut, _ in steps:
+            w = v + step
             counts[i] += ad
-            edges[key] = edges.get(key, 0) + ad
             old = cuts.get(w)
             if old is None:
-                cuts[w] = new = unit[i][d]
+                cuts[w] = new = -dcut
                 if new not in rowset:
                     appended.append(w)
             else:
-                cl = list(old)
-                cl[i] -= d
-                cuts[w] = new = tuple(cl)
-                if new not in rowset and w not in rest:
+                cuts[w] = new = old - dcut
+                if new in rowset:
+                    done.append(w)
+                elif w not in rest:
                     appended.append(w)
-            log.append((key, ad, w, old))
+            olds.append(old)
         cuts[v] = target
-        return [*rest, *appended], (v, cur, log)
+        self._applied.append((v, cur, steps, olds))
+        if done:
+            rest = [w for w in rest if w not in done]
+        return [*rest, *appended]
 
-    def _undo(self, undo) -> None:
-        v, cur, log = undo
-        edges = self.edges
+    def _undo(self) -> None:
+        """Take back the last assignment ``_apply`` made."""
+        v, cur, steps, olds = self._applied.pop()
         counts = self.counts
         cuts = self.cuts
-        for key, ad, w, old in log:
-            left = edges[key] - ad
-            if left:
-                edges[key] = left
-            else:
-                del edges[key]
-            counts[key[1]] -= ad
+        for (i, ad, step, _, _, _), old in zip(steps, olds):
+            counts[i] -= ad
             if old is None:
-                del cuts[w]
+                del cuts[v + step]
             else:
-                cuts[w] = old
+                cuts[v + step] = old
         cuts[v] = cur
 
     # -- candidate handling -------------------------------------------
@@ -300,15 +371,20 @@ class Search:
         self.stats.candidates += 1
         if len(set(self.counts)) != 1:
             return
-        # The live vertices are exactly the graph's vertices, so this is
-        # the graph's canonical_key().
-        shift = min(self.cuts)
-        key = tuple(
-            sorted(
-                ((tuple(a - b for a, b in zip(tail, shift)), i), c)
-                for (tail, i), c in self.edges.items()
-            )
-        )
+        # The vertices in ``cuts`` are exactly the graph's vertices, and
+        # int order is lex order, so shifting by the least gives the graph's
+        # canonical_key(); a difference of two vertices unpacks exactly.
+        n = self.n
+        coords = self._coords
+        shift = min(self.cuts) * n
+        items = []
+        for code, c in sorted(self.edges.items()):
+            tail, i = divmod(code - shift, n)
+            x = coords.get(tail)
+            if x is None:
+                x = coords[tail] = self.vertex.unpack(tail)
+            items.append(((x, i), c))
+        key = tuple(items)
         self.found[key] = dict(key)
 
 

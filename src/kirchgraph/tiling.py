@@ -76,22 +76,39 @@ class TilingExpression:
     placements: tuple[Placement, ...]
 
     def evaluate(self) -> VectorGraph:
+        """The graph that ``add`` and ``subtract``, chained over the
+        placements from the empty graph, return: the same edges and
+        verdict, and the same exception at the same placement.
+
+        The chain's running graph is always Kirchhoff or empty, so every
+        placement folds into one edge dict through ``_place``, the step
+        the chain takes, and a graph is built and verified only where
+        ``_place`` finds no theorem for the verdict.
+        """
         if not self.placements:
             raise ValueError("empty expression")
-        system = self.placements[0].graph.system
-        acc = VectorGraph.empty(system)
+        first = self.placements[0].graph
+        system = first.system
+        edges: dict = {}
+        copies = [0] * system.n
         for p in self.placements:
-            if p.sign > 0:
-                acc = add(acc, p.graph, p.offset)
-            else:
-                acc = subtract(acc, p.graph, p.offset)
-        return acc
+            g = p.graph
+            _require_same_system(first, g)
+            if p.sign < 0 and g.is_empty:
+                continue
+            sign = 1 if p.sign > 0 else -1
+            if _place(edges, copies, g, p.offset, sign, True) is None:
+                _verify(VectorGraph(system, edges), "sum" if sign > 0 else "difference")
+        result = VectorGraph(system, edges)
+        result._verdict = KirchhoffVerdict("ok" if edges else "trivial")
+        return result
 
 
 @dataclass(frozen=True)
 class PrimalityVerdict:
     status: str  # "prime" | "composite" | "unknown"
     witness: tuple[VectorGraph, VectorGraph] | None = None
+    nodes: int = 0  # split-search nodes spent, the one over budget included
 
 
 def _require_same_system(g1: VectorGraph, g2: VectorGraph) -> None:
@@ -99,12 +116,60 @@ def _require_same_system(g1: VectorGraph, g2: VectorGraph) -> None:
         raise SystemMismatch("graphs belong to different row systems")
 
 
-def _shifted_items(g: VectorGraph, offset: Coord):
-    off = tuple(offset)
-    return [((tuple(a + b for a, b in zip(t, off)), i), c) for (t, i), c in g.edge_items()]
-
-
 _KIRCHHOFF = ("ok", "trivial")
+
+
+def _place(edges: dict, copies: list[int], g: VectorGraph, offset: Coord, sign: int,
+           verified: bool) -> KirchhoffVerdict | None:
+    """Add (``sign`` 1) or remove (``sign`` -1) g's canonical form, its
+    anchor at ``offset``, to or from the edge multiset ``edges``;
+    ``copies`` counts the edges of each vector in it and moves along.
+    A removal raises NoEmbeddingAtOffset at the first edge it misses.
+
+    Return the verdict the sum or difference theorem gives, when
+    ``verified`` (the multiset before the move is Kirchhoff or empty) and
+    g's verdict is "ok" or "trivial": "trivial" if nothing is left, "ok"
+    after a sum or after a difference that kept every edge vector.
+    Return None where the result has to be verified.
+    """
+    off = tuple(offset)
+    if len(off) != g.system.k:
+        raise ValueError(f"offset {off} has wrong dimension")
+    for (t, i), c in g.canonical().edge_items():
+        key = (tuple(a + b for a, b in zip(t, off)), i)
+        have = edges.get(key, 0) + sign * c
+        if have < 0:
+            raise NoEmbeddingAtOffset(f"no copy at offset {off}: missing {key}")
+        if have:
+            edges[key] = have
+        else:
+            del edges[key]
+        copies[i] += sign * c
+    if not verified or g.is_kirchhoff().status not in _KIRCHHOFF:
+        return None
+    if not edges:
+        return KirchhoffVerdict("trivial")
+    if sign > 0 or all(copies):
+        return KirchhoffVerdict("ok")
+    return None
+
+
+def _operate(g1: VectorGraph, g2: VectorGraph, offset: Coord, sign: int) -> VectorGraph:
+    """g1 plus (``sign`` 1) or minus (``sign`` -1) g2 anchored at
+    ``offset``, with the verdict ``_place`` gives, or else verified."""
+    _require_same_system(g1, g2)
+    if sign < 0 and g2.is_empty:
+        return g1
+    edges = dict(g1._edges)
+    copies = [0] * g1.system.n
+    for (_, i), c in edges.items():
+        copies[i] += c
+    verdict = _place(edges, copies, g2, offset, sign, g1.is_kirchhoff().status in _KIRCHHOFF)
+    result = VectorGraph(g1.system, edges)
+    if verdict is None:
+        return _verify(result, "sum" if sign > 0 else "difference")
+    result._verdict = verdict
+    return result
 
 
 def _verify(result: VectorGraph, context: str) -> VectorGraph:
@@ -132,16 +197,7 @@ def add(g1: VectorGraph, g2: VectorGraph, offset: Coord) -> VectorGraph:
     check: "trivial" if both are, else "ok".  Otherwise the sum is
     verified.
     """
-    _require_same_system(g1, g2)
-    edges = dict(g1._edges)
-    for key, c in _shifted_items(g2.canonical(), offset):
-        edges[key] = edges.get(key, 0) + c
-    result = VectorGraph(g1.system, edges)
-    s1, s2 = g1.is_kirchhoff().status, g2.is_kirchhoff().status
-    if s1 in _KIRCHHOFF and s2 in _KIRCHHOFF:
-        result._verdict = KirchhoffVerdict("trivial" if s1 == s2 == "trivial" else "ok")
-        return result
-    return _verify(result, "sum")
+    return _operate(g1, g2, offset, 1)
 
 
 def find_embeddings(host: VectorGraph, pattern: VectorGraph) -> list[Coord]:
@@ -177,28 +233,7 @@ def subtract(g1: VectorGraph, g2: VectorGraph, offset: Coord) -> VectorGraph:
     every edge vector occurs.  A difference that lost an edge vector, or
     has an operand of any other verdict, is verified.
     """
-    _require_same_system(g1, g2)
-    if g2.is_empty:
-        return g1
-    edges = dict(g1._edges)
-    for key, c in _shifted_items(g2.canonical(), offset):
-        have = edges.get(key, 0)
-        if have < c:
-            raise NoEmbeddingAtOffset(f"no copy at offset {tuple(offset)}: missing {key}")
-        if have == c:
-            del edges[key]
-        else:
-            edges[key] = have - c
-    result = VectorGraph(g1.system, edges)
-    s1, s2 = g1.is_kirchhoff().status, g2.is_kirchhoff().status
-    if s1 in _KIRCHHOFF and s2 in _KIRCHHOFF:
-        if not edges:
-            result._verdict = KirchhoffVerdict("trivial")
-            return result
-        if len({idx for _, idx in edges}) == g1.system.n:
-            result._verdict = KirchhoffVerdict("ok")
-            return result
-    return _verify(result, "difference")
+    return _operate(g1, g2, offset, -1)
 
 
 # -- primality ----------------------------------------------------------
@@ -218,6 +253,7 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
     ``VectorGraph.is_kirchhoff``).  The first edge is pinned to part A to
     break the A/B symmetry.  Exhausting the tree proves primality;
     ``budget`` caps the node count, returning "unknown" when exceeded.
+    The verdict reports the nodes spent.
     """
     if graph.is_empty:
         raise ValueError("primality is defined for nonempty graphs")
@@ -299,10 +335,10 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
     try:
         witness = search(0)
     except _BudgetExhausted:
-        return PrimalityVerdict("unknown")
+        return PrimalityVerdict("unknown", nodes=nodes)
     if witness is None:
-        return PrimalityVerdict("prime")
-    return PrimalityVerdict("composite", witness=witness)
+        return PrimalityVerdict("prime", nodes=nodes)
+    return PrimalityVerdict("composite", witness, nodes)
 
 
 class _BudgetExhausted(Exception):
@@ -582,6 +618,20 @@ def _square_family_geometry():
     raise FamilyConstructionError("no grid periods found")
 
 
+def _prime_family_expression(j: int) -> TilingExpression:
+    """Family member j as a left-to-right expression: the 2j + 2 copies
+    of the spread graph, row by row, then the j interior copies of the
+    doubled graph taken away."""
+    _, spread, doubled, t1, t2, emb0 = _square_family_geometry()
+    adds = [
+        Placement(spread, tuple(row * b + c for b, c in zip(t2, col)), 1)
+        for row in range(j + 1)
+        for col in ((0, 0), t1)
+    ]
+    subs = [Placement(doubled, tuple(a + row * b for a, b in zip(emb0, t2)), -1) for row in range(j)]
+    return TilingExpression(tuple(adds + subs))
+
+
 def build_infinite_prime_family(j: int) -> VectorGraph:
     """The j-th member of the arbitrarily-large prime family for the
     square system: (2j+2) copies of the spread graph in a 2-by-(j+1)
@@ -591,19 +641,10 @@ def build_infinite_prime_family(j: int) -> VectorGraph:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    _, spread, doubled, t1, t2, emb0 = _square_family_geometry()
-    acc = None
-    for row in range(j + 1):
-        base = tuple(row * x for x in t2)
-        for col_off in ((0, 0), t1):
-            off = tuple(a + b for a, b in zip(base, col_off))
-            acc = spread.translate(off) if acc is None else add(acc, spread, off)
-    for row in range(j):
-        off = tuple(a + row * b for a, b in zip(emb0, t2))
-        if off not in find_embeddings(acc, doubled):
-            raise FamilyConstructionError(f"interior embedding missing at row {row}")
-        acc = subtract(acc, doubled, off)
-    return acc
+    try:
+        return _prime_family_expression(j).evaluate()
+    except NoEmbeddingAtOffset as exc:
+        raise FamilyConstructionError(f"interior embedding missing: {exc}") from exc
 
 
 # -- fundamental sets ------------------------------------------------------

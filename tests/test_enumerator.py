@@ -1,9 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kirchgraph.enumerator import (
     Search,
+    _Radix,
     SearchConfig,
     SearchStats,
     enumerate_kirchhoff,
@@ -43,45 +46,95 @@ def test_config_validation():
         SearchConfig(m_max=1, workers=0)
 
 
+# -- packing -------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+def test_radix_round_trips_and_keeps_lex_order(half, width, data):
+    radix = _Radix(half, width)
+    entry = st.integers(-half, half)
+    xs = data.draw(st.lists(st.tuples(*[entry] * width), min_size=1, max_size=12))
+    for x in xs:
+        assert radix.unpack(radix.pack(x)) == x
+    assert sorted(xs, key=radix.pack) == sorted(xs)
+
+
+@pytest.mark.parametrize("rows, m_max", [
+    ([[2, 0, 1, 1], [0, 2, 3, 1]], 6),
+    ([[1, 0, 1], [0, 1, 1]], 4),
+    ([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], 2),
+])
+def test_vertex_packing_at_the_corners_of_the_box(rows, m_max):
+    # Every coordinate a search meets lies in [-L, L]; at the corners of
+    # that box, and one step inside them, packing is one to one and int
+    # order is lex order.
+    s = Search(build_row_system(rows), SearchConfig(m_max=m_max))
+    L = s.vertex.half
+    assert L == s.n * m_max * max(abs(x) for col in s.sys.columns for x in col)
+    corners = list(product((-L, 1 - L, 0, L - 1, L), repeat=s.sys.k))
+    codes = [s.vertex.pack(x) for x in corners]
+    assert [s.vertex.unpack(c) for c in codes] == corners
+    assert sorted(corners, key=s.vertex.pack) == sorted(corners)
+    assert len(set(codes)) == len(corners)
+
+
 # -- single assignments ---------------------------------------------------
 
 
 def fresh_search(sys, m_max=2, **options):
     s = Search(sys, SearchConfig(m_max=m_max, **options))
-    s.cuts = {(0,) * sys.k: (0,) * sys.n}
-    s.edges = {}
+    s.cuts = {0: 0}  # the anchor at the origin, zero cut
     s.counts = [0] * sys.n
     return s
+
+
+def apply(s, v, target, rest=()):
+    """``_apply`` on unpacked vertices and cuts; the child to-do list
+    comes back unpacked."""
+    child = s._apply(s.vertex.pack(v), s.cut.pack(target), [s.vertex.pack(w) for w in rest])
+    return None if child is None else [s.vertex.unpack(w) for w in child]
+
+
+def cuts_of(s):
+    return {s.vertex.unpack(v): s.cut.unpack(c) for v, c in s.cuts.items()}
+
+
+def edges_of(s):
+    out = {}
+    for code, c in s.edges.items():
+        tail, i = divmod(code, s.n)
+        out[s.vertex.unpack(tail), i] = c
+    return out
 
 
 def test_assign_full_row_cut_at_anchor():
     sys = square_system()
     s = fresh_search(sys)
-    applied = s._apply((0, 0), (2, 0, 1, 1), ())
-    assert applied is not None
-    todo, _ = applied
+    todo = apply(s, (0, 0), (2, 0, 1, 1))
+    assert todo is not None
     # four edge copies leave the origin; the doubled s1 copies share a head
-    assert s.edges == {((0, 0), 0): 2, ((0, 0), 2): 1, ((0, 0), 3): 1}
+    assert edges_of(s) == {((0, 0), 0): 2, ((0, 0), 2): 1, ((0, 0), 3): 1}
     assert s.counts == [2, 0, 1, 1]
     assert sorted(todo) == [(1, -1), (1, 1), (2, 0)]
-    assert s.cuts[(0, 0)] == (2, 0, 1, 1)
-    assert s.cuts[(2, 0)] == (-2, 0, 0, 0)
+    assert cuts_of(s)[(0, 0)] == (2, 0, 1, 1)
+    assert cuts_of(s)[(2, 0)] == (-2, 0, 0, 0)
 
 
 def test_assign_matching_target_is_a_no_op():
     sys = square_system()
     s = fresh_search(sys)
-    assert s._apply((0, 0), (0, 0, 0, 0), ()) is None
-    assert s.edges == {}
+    assert apply(s, (0, 0), (0, 0, 0, 0)) is None
+    assert edges_of(s) == {}
 
 
 def test_assign_over_multiplicity_fails():
     sys = square_system()
     s = fresh_search(sys, m_max=2)
     before = s.stats.prunes_multiplicity
-    s._apply((0, 0), (2, 0, 1, 1), ())
+    apply(s, (0, 0), (2, 0, 1, 1))
     # a third copy of s1 would be needed to move the origin cut to (-1,...)
-    assert s._apply((0, 0), (-1, 1, 0, -1), ()) is None
+    assert apply(s, (0, 0), (-1, 1, 0, -1)) is None
     assert s.stats.prunes_multiplicity == before + 1
 
 
@@ -91,19 +144,45 @@ def test_assign_negative_sum_prunes_new_vertex():
     before = s.stats.prunes_negative_sum
     # cut (-1,-1,-1,0) needs s1, s2, s3 copies entering the origin, putting
     # tails at negative coordinate sums
-    assert s._apply((0, 0), (-1, -1, -1, 0), ()) is None
+    assert apply(s, (0, 0), (-1, -1, -1, 0)) is None
     assert s.stats.prunes_negative_sum == before + 1
 
 
 def test_undo_restores_state():
     sys = square_system()
     s = fresh_search(sys)
-    todo, undo = s._apply((0, 0), (1, 1, 1, 0), ())
-    assert s.edges
-    s._undo(undo)
-    assert s.edges == {}
+    apply(s, (0, 0), (1, 1, 1, 0))
+    assert edges_of(s)
+    s._undo()
+    assert edges_of(s) == {}
     assert s.counts == [0, 0, 0, 0]
-    assert s.cuts == {(0, 0): (0, 0, 0, 0)}
+    assert cuts_of(s) == {(0, 0): (0, 0, 0, 0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["square", "triangle"]), st.integers(1, 4), st.data())
+def test_child_todo_lists_every_live_vertex(which, m_max, data):
+    # Random paths down the search tree: each child to-do list holds every
+    # live vertex once, the parent's pending ones that stay live first and
+    # in their order, as when _visit filtered the satisfied ones out.
+    sys = square_system() if which == "square" else triangle_system()
+    s = fresh_search(sys, m_max, prune_negative_sum=data.draw(st.booleans()))
+    lam = s.lam
+    todo = [(0,) * sys.k]
+    for _ in range(data.draw(st.integers(1, 8))):
+        v, rest = todo[0], todo[1:]
+        cur = cuts_of(s)[v]
+        options = [t for t in lam if t != cur]
+        todo = apply(s, v, data.draw(st.sampled_from(options)), rest)
+        if todo is None:
+            break
+        cuts = cuts_of(s)
+        live = [w for w in cuts if cuts[w] not in lam]
+        kept = [w for w in rest if cuts[w] not in lam]
+        assert sorted(todo) == sorted(live)
+        assert todo[: len(kept)] == kept
+        if not todo:
+            break
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,14 +202,15 @@ def test_box_mask_yields_the_cuts_within_the_cap(which, m_max, data):
         ]
 
     for _ in range(data.draw(st.integers(1, 8))):
-        v = data.draw(st.sampled_from(sorted(s.cuts)))
-        options = within_cap(s.cuts[v])
+        cuts = cuts_of(s)
+        v = data.draw(st.sampled_from(sorted(cuts)))
+        options = within_cap(cuts[v])
         if not options:
             break
-        s._apply(v, data.draw(st.sampled_from(options)), ())
-        for cur in s.cuts.values():
-            if cur not in s.rowset:
-                mask = s._box_mask(cur)
+        apply(s, v, data.draw(st.sampled_from(options)))
+        for cur in cuts_of(s).values():
+            if cur not in lam:
+                mask = s._box_mask(s.cut.pack(cur))
                 assert [t for j, t in enumerate(lam) if mask >> j & 1] == within_cap(cur)
 
 
@@ -229,6 +309,18 @@ def test_negative_sum_prune_exact_at_paper_scale_censuses():
 def test_bench_census_stats_are_pinned(rows, m_max, expected):
     # The two censuses the benchmark checks against bench/reference/: a
     # faster search core must walk the same tree here too.
+    _, stats = enumerate_kirchhoff(build_row_system(rows), SearchConfig(m_max=m_max))
+    assert stats == SearchStats(*expected)
+
+
+@pytest.mark.parametrize(
+    "m_max, expected",
+    [(1, (52, 1320, 48, 24, 16)), (2, (40099, 10530806, 3867, 10807, 5527))],
+)
+def test_four_dimensional_search_stats_are_pinned(m_max, expected):
+    # k = 4, n = 6: the decomposable system, two triangle planes sharing
+    # no edge vector, packs vertices in four digits and cuts in six.
+    rows = [[1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 1]]
     _, stats = enumerate_kirchhoff(build_row_system(rows), SearchConfig(m_max=m_max))
     assert stats == SearchStats(*expected)
 

@@ -9,6 +9,7 @@ import kirchgraph.tiling as tiling
 from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
 from kirchgraph.exactalg import build_row_system
 from kirchgraph.tiling import (
+    FamilyConstructionError,
     KirchhoffViolation,
     NoEmbeddingAtOffset,
     Placement,
@@ -22,7 +23,7 @@ from kirchgraph.tiling import (
     span_contains,
     subtract,
 )
-from kirchgraph.vgraph import VectorGraph
+from kirchgraph.vgraph import KirchhoffVerdict, VectorGraph
 
 from oracles import brute_force_is_prime
 
@@ -231,25 +232,92 @@ def record_results(monkeypatch):
 
 
 def test_difference_theorem_verdicts_match_a_fresh_check(monkeypatch):
-    # Every sum and difference that builds prime family members, and the
-    # j = 48 member as a left-to-right expression (98 sums, 48
-    # differences), stores the verdict a fresh check gives.
-    _, spread, doubled, t1, t2, emb0 = tiling._square_family_geometry()
+    # Every sum and difference of prime family members j = 1, 2, 5 and
+    # 48 as left-to-right chains (2j + 2 sums and j differences each,
+    # the first sum onto the empty graph) stores the verdict a fresh
+    # check gives; so do the members that evaluate() folds from the same
+    # expressions, and build_infinite_prime_family returns those.
+    tiling._square_family_geometry()  # its own sums stay unrecorded
     results = record_results(monkeypatch)
-    for j in (1, 2, 5):
-        build_infinite_prime_family(j)
-    adds = [
-        Placement(spread, tuple(row * b + c for b, c in zip(t2, col)), 1)
-        for row in range(49)
-        for col in ((0, 0), t1)
-    ]
-    subs = [Placement(doubled, tuple(a + row * b for a, b in zip(emb0, t2)), -1) for row in range(48)]
-    member = TilingExpression(tuple(adds + subs)).evaluate()
-    assert member.multiplicity().m == 100
-    # member j takes 2j + 1 sums and j differences
-    assert len(results) == sum(3 * j + 1 for j in (1, 2, 5)) + 98 + 48
-    for g in results:
+    members = []
+    for j in (1, 2, 5, 48):
+        expr = family_expression(j)
+        chained(expr)
+        members.append(expr.evaluate())
+        assert results[-1]._edges == members[-1]._edges
+        assert build_infinite_prime_family(j)._edges == members[-1]._edges
+    assert members[-1].multiplicity().m == 100
+    # evaluate() and build_infinite_prime_family call neither
+    assert len(results) == sum(3 * j + 2 for j in (1, 2, 5, 48))
+    for g in results + members:
         assert g.is_kirchhoff() == fresh_verdict(g)
+
+
+def family_expression(j, placements=()):
+    """Prime family member j as a left-to-right expression (2j + 2 sums
+    of the spread graph, then j differences of the doubled one), then
+    ``placements``."""
+    return TilingExpression(tiling._prime_family_expression(j).placements + tuple(placements))
+
+
+def chained(expr):
+    """What evaluate() stands for: add and subtract, left to right, from
+    the empty graph (looked up on the module, so a patch sees them)."""
+    acc = VectorGraph.empty(expr.placements[0].graph.system)
+    for p in expr.placements:
+        acc = (tiling.add if p.sign > 0 else tiling.subtract)(acc, p.graph, p.offset)
+    return acc
+
+
+def outcome(run, expr):
+    """The edges, in order, and verdict of ``run(expr)``, or the type and
+    message of the error it raised."""
+    try:
+        g = run(expr)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return list(g._edges.items()), g.is_kirchhoff(), fresh_verdict(g)
+
+
+def test_evaluate_folds_the_chain_of_sums_and_differences():
+    _, spread, doubled, t1, t2, emb0 = tiling._square_family_geometry()
+    tri = triangle_graphs()[0]
+    # the decomposable pair of test_difference_that_loses_an_edge_vector_is_verified
+    g = census(DECOMPOSABLE, 1)[0]
+    origin, far = (0, 0, 0, 0), (3, 0, 0, 0)
+    h = VectorGraph(g.system, [(origin, 0), ((1, 0, 0, 0), 1), (origin, 4)])
+    # two copies of the spread graph and one stray edge: not Kirchhoff
+    stray = VectorGraph(spread.system, {**add(spread, spread, (0, 10))._edges, ((5, 5), 0): 1})
+    half = VectorGraph(spread.system, dict(spread.edge_items()[:5]))
+    cases = {
+        "family j=48": family_expression(48),
+        "no embedding midway": TilingExpression(
+            family_expression(3).placements[:8] + (Placement(doubled, (40, 40), -1),)
+            + family_expression(3).placements[8:]),
+        "other system": family_expression(1, [Placement(tri, (0, 0), 1)]),
+        "non-Kirchhoff operand": family_expression(2, [Placement(stray, (0, 0), 1)]),
+        "half a graph taken away": TilingExpression(
+            (Placement(spread, (0, 0), 1), Placement(spread, (0, 10), 1),
+             Placement(half, half.vertices[0], -1))),
+        "empty operand": family_expression(1, [Placement(VectorGraph.empty(spread.system), (1, 1), -1)]),
+        "deficient operand repaired": TilingExpression((Placement(g, far, 1), Placement(h, origin, 1))),
+        "edge vector lost": TilingExpression(
+            (Placement(g, far, 1), Placement(h, origin, 1), Placement(g, far, -1))),
+        "everything taken away": TilingExpression(
+            (Placement(g, far, 1), Placement(h, origin, 1), Placement(h, origin, -1),
+             Placement(g, far, -1))),
+        "short offset": family_expression(1, [Placement(spread, (3,), 1)]),
+        "long offset": family_expression(1, [Placement(spread, (3, 0, 0), 1)]),
+        "short offset taken away": family_expression(1, [Placement(doubled, emb0[:1], -1)]),
+    }
+    for name, expr in cases.items():
+        assert outcome(TilingExpression.evaluate, expr) == outcome(chained, expr), name
+    errors = [outcome(chained, expr)[0] for expr in cases.values()]
+    assert errors.count(NoEmbeddingAtOffset) == 1
+    assert errors.count(SystemMismatch) == 1
+    assert errors.count(KirchhoffViolation) == 3
+    assert errors.count(ValueError) == 3
+    assert outcome(chained, cases["everything taken away"])[:2] == ([], KirchhoffVerdict("trivial"))
 
 
 def test_subtract_with_a_non_kirchhoff_operand_is_verified():
@@ -334,7 +402,16 @@ def test_grid_is_composite_with_verified_witness():
 
 def test_budget_exhaustion_returns_unknown():
     f1, _ = square_pair()
-    assert is_prime(grid_of_four(f1), budget=5).status == "unknown"
+    verdict = is_prime(grid_of_four(f1), budget=5)
+    assert verdict.status == "unknown"
+    assert verdict.nodes == 6  # the node over budget stops the search
+
+
+def test_primality_reports_its_nodes_over_the_triangle_census():
+    verdicts = [is_prime(g) for g in census(TRIANGLE, 4)]
+    assert len(verdicts) == 1295
+    assert sum(v.status == "prime" for v in verdicts) == 58
+    assert sum(v.nodes for v in verdicts) == 15408
 
 
 def test_primality_rejects_bad_inputs():
@@ -531,6 +608,14 @@ def test_family_smallest_member_is_the_grid_difference():
 def test_family_rejects_bad_size():
     with pytest.raises(ValueError):
         build_infinite_prime_family(0)
+
+
+def test_family_without_an_interior_embedding_raises(monkeypatch):
+    system, spread, doubled, t1, t2, emb0 = tiling._square_family_geometry()
+    far = tuple(a + 40 for a in emb0)
+    monkeypatch.setattr(tiling, "_square_family_geometry", lambda: (system, spread, doubled, t1, t2, far))
+    with pytest.raises(FamilyConstructionError, match="interior embedding missing"):
+        build_infinite_prime_family(2)
 
 
 # -- fundamental sets ----------------------------------------------------------------
