@@ -148,13 +148,6 @@ def parse_expression(text: str, graphs_by_id: dict, k: int):
     return TilingExpression(tuple(placements))
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 # -- subcommands ----------------------------------------------------------
 
 

@@ -44,10 +44,11 @@ Scope and completeness:
   search finds 16 of the 36 graphs (two triangles joined at a vertex)
   that a scan of the {0,1}^4 box finds.
 
-Packed state.  Inside the search a vertex and a cut are each one int.
-Let L = n * m_max * max|column entry|.  A vertex x packs to
-sum(x[d] * B**(k-1-d)) with B = 2L + 1: balanced mixed-radix digits,
-most significant coordinate first.  Every coordinate the search meets
+Packed state.  Inside the search a vertex and a cut are each one int,
+packed by ``vgraph.Radix``, the codec the span search in ``tiling``
+shares.  Let L = n * m_max * max|column entry|.  A vertex x packs over
+the box [-L, L]^k to sum(x[d] * B**(k-1-d)) with B = 2L + 1, most
+significant coordinate first.  Every coordinate the search meets
 lies in [-L, L], and so does every coordinate difference of two vertices
 of one partial graph: the graph grows from the anchor by adding edges
 at vertices it already has, so it is connected, and it holds at most
@@ -56,20 +57,20 @@ a coordinate by at most max|column entry|, joins any two of its
 vertices, the anchor at the origin included.  On that box packing is
 linear and one to one, int order is lex order, and the neighbour of v
 along vector i is v + step[i] or v - step[i].  A cut packs the same way,
-with half-width m_max and base 2 * m_max + 1: a live cut entry is a net
-count of copies of one vector, at most counts[i] <= m_max in size, so
-changing a vertex's cut by d e_i subtracts d * place[i].  Only
-``Search._emit`` unpacks, to the same canonical tuple key.
+over the box [-m_max, m_max]^n: a live cut entry is a net count of
+copies of one vector, at most counts[i] <= m_max in size, so changing a
+vertex's cut by d e_i subtracts d * place[i].  ``Search._emit`` unpacks
+to the same canonical tuple key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import and_, getitem, mul
+from operator import and_, getitem
 
 from kirchgraph.exactalg import RowSystem, enumerate_bounded_cuts
-from kirchgraph.vgraph import KirchhoffVerdict, VectorGraph
+from kirchgraph.vgraph import KirchhoffVerdict, Radix, VectorGraph
 
 
 @dataclass(frozen=True)
@@ -105,29 +106,6 @@ class SearchStats:
         self.complete = self.complete and other.complete
 
 
-class _Radix:
-    """Integer tuples of length ``width``, every entry in [-half, half], as
-    single ints: balanced mixed-radix digits in base 2 * half + 1, most
-    significant entry first.  On that box ``pack`` is linear and one to
-    one, and int order is lex order."""
-
-    def __init__(self, half: int, width: int):
-        self.half = half
-        self.place = tuple((2 * half + 1) ** e for e in reversed(range(width)))
-        self._offset = half * sum(self.place)
-
-    def pack(self, x) -> int:
-        return sum(map(mul, x, self.place))
-
-    def unpack(self, code: int) -> tuple[int, ...]:
-        code += self._offset  # every digit moved into [0, 2 * half]
-        out = []
-        for place in self.place:
-            digit, code = divmod(code, place)
-            out.append(digit - self.half)
-        return tuple(out)
-
-
 class Search:
     """Incremental search state: the partial graph plus its to-do list.
 
@@ -161,9 +139,10 @@ class Search:
         self.n = n = sys.n
         self.m_max = m = config.m_max
         self.lam = enumerate_bounded_cuts(sys, m)
-        # the half-widths are proved in the module docstring
-        self.vertex = _Radix(n * m * max(abs(x) for col in sys.columns for x in col), sys.k)
-        self.cut = _Radix(m, n)
+        # the boxes are proved in the module docstring
+        L = n * m * max(abs(x) for col in sys.columns for x in col)
+        self.vertex = Radix((-L,) * sys.k, (L,) * sys.k)
+        self.cut = Radix((-m,) * n, (m,) * n)
         self._step = [self.vertex.pack(col) for col in sys.columns]
         self._colsums = [sum(col) for col in sys.columns]
         self._targets = [self.cut.pack(t) for t in self.lam]
@@ -407,14 +386,16 @@ def enumerate_kirchhoff(
     plus run statistics.  ``stats.complete`` is False when a node limit
     truncated the search, in which case the result may be missing graphs.
     Worker counts beyond 1 split the anchor cuts across processes; the
-    result is identical for every worker count.
+    result is identical for every worker count.  A search with a node
+    limit runs in one process whatever ``workers`` says, so it truncates
+    at the same node of the serial order.
     """
     searcher = Search(sys, config)
     indices = range(len(searcher.anchor_cuts))
     stats = SearchStats()
     found: dict[tuple, dict] = {}
     truncated = False
-    if config.workers == 1 or len(searcher.anchor_cuts) <= 1:
+    if config.workers == 1 or len(searcher.anchor_cuts) <= 1 or config.node_limit is not None:
         searcher.run(indices)
         found, stats, truncated = searcher.found, searcher.stats, searcher.truncated
     else:

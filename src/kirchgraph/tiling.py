@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul, sub
+from operator import sub
 
 from kirchgraph.exactalg import build_row_system
-from kirchgraph.vgraph import Coord, KirchhoffVerdict, VectorGraph
+from kirchgraph.vgraph import Coord, KirchhoffVerdict, Radix, VectorGraph
 
 DEFAULT_COEFF_BOUND = 8
 DEFAULT_PRIME_BUDGET = 2_000_000
@@ -78,30 +78,11 @@ class TilingExpression:
     def evaluate(self) -> VectorGraph:
         """The graph that ``add`` and ``subtract``, chained over the
         placements from the empty graph, return: the same edges and
-        verdict, and the same exception at the same placement.
-
-        The chain's running graph is always Kirchhoff or empty, so every
-        placement folds into one edge dict through ``_place``, the step
-        the chain takes, and a graph is built and verified only where
-        ``_place`` finds no theorem for the verdict.
-        """
+        verdict, and the same exception at the same placement, since
+        ``_fold`` is that chain."""
         if not self.placements:
             raise ValueError("empty expression")
-        first = self.placements[0].graph
-        system = first.system
-        edges: dict = {}
-        copies = [0] * system.n
-        for p in self.placements:
-            g = p.graph
-            _require_same_system(first, g)
-            if p.sign < 0 and g.is_empty:
-                continue
-            sign = 1 if p.sign > 0 else -1
-            if _place(edges, copies, g, p.offset, sign, True) is None:
-                _verify(VectorGraph(system, edges), "sum" if sign > 0 else "difference")
-        result = VectorGraph(system, edges)
-        result._verdict = KirchhoffVerdict("ok" if edges else "trivial")
-        return result
+        return _fold(VectorGraph.empty(self.placements[0].graph.system), self.placements)
 
 
 @dataclass(frozen=True)
@@ -135,7 +116,7 @@ def _place(edges: dict, copies: list[int], g: VectorGraph, offset: Coord, sign: 
     off = tuple(offset)
     if len(off) != g.system.k:
         raise ValueError(f"offset {off} has wrong dimension")
-    for (t, i), c in g.canonical().edge_items():
+    for (t, i), c in g.canonical_key():
         key = (tuple(a + b for a, b in zip(t, off)), i)
         have = edges.get(key, 0) + sign * c
         if have < 0:
@@ -154,34 +135,39 @@ def _place(edges: dict, copies: list[int], g: VectorGraph, offset: Coord, sign: 
     return None
 
 
-def _operate(g1: VectorGraph, g2: VectorGraph, offset: Coord, sign: int) -> VectorGraph:
-    """g1 plus (``sign`` 1) or minus (``sign`` -1) g2 anchored at
-    ``offset``, with the verdict ``_place`` gives, or else verified."""
-    _require_same_system(g1, g2)
-    if sign < 0 and g2.is_empty:
-        return g1
-    edges = dict(g1._edges)
-    copies = [0] * g1.system.n
-    for (_, i), c in edges.items():
-        copies[i] += c
-    verdict = _place(edges, copies, g2, offset, sign, g1.is_kirchhoff().status in _KIRCHHOFF)
-    result = VectorGraph(g1.system, edges)
-    if verdict is None:
-        return _verify(result, "sum" if sign > 0 else "difference")
-    result._verdict = verdict
-    return result
+def _fold(start: VectorGraph, placements) -> VectorGraph:
+    """``start`` with each placement added or removed in turn.
 
-
-def _verify(result: VectorGraph, context: str) -> VectorGraph:
-    """Raise KirchhoffViolation unless ``result`` is Kirchhoff or empty.
-
+    The running multiset folds into one edge dict through ``_place``.
+    Removing an empty graph is skipped.  A graph is built and checked
+    only where ``_place`` finds no theorem for the verdict, and the check
+    raises KirchhoffViolation unless the graph is Kirchhoff or empty; so
+    after the first placement the running graph is Kirchhoff or empty.
     An "ok" verdict implies vector 2-connectivity: every row of
     N = [C; -qI] is nonzero (no zero row of C), so cycle vectors that
     span Null(R) cover every coordinate.
     """
-    verdict = result.is_kirchhoff()
-    if verdict.status not in _KIRCHHOFF:
-        raise KirchhoffViolation(f"{context} produced a non-Kirchhoff graph: {verdict}")
+    system = start.system
+    edges = dict(start._edges)
+    copies = list(start.multiplicity().counts)
+    verified = start.is_kirchhoff().status in _KIRCHHOFF
+    result = start
+    for p in placements:
+        _require_same_system(start, p.graph)
+        if p.sign < 0 and p.graph.is_empty:
+            continue
+        sign = 1 if p.sign > 0 else -1
+        result = None
+        if _place(edges, copies, p.graph, p.offset, sign, verified) is None:
+            result = VectorGraph(system, edges)
+            verdict = result.is_kirchhoff()
+            if verdict.status not in _KIRCHHOFF:
+                context = "sum" if sign > 0 else "difference"
+                raise KirchhoffViolation(f"{context} produced a non-Kirchhoff graph: {verdict}")
+        verified = True
+    if result is None:
+        result = VectorGraph(system, edges)
+        result._verdict = KirchhoffVerdict("ok" if edges else "trivial")
     return result
 
 
@@ -197,7 +183,7 @@ def add(g1: VectorGraph, g2: VectorGraph, offset: Coord) -> VectorGraph:
     check: "trivial" if both are, else "ok".  Otherwise the sum is
     verified.
     """
-    return _operate(g1, g2, offset, 1)
+    return _fold(g1, [Placement(g2, offset, 1)])
 
 
 def find_embeddings(host: VectorGraph, pattern: VectorGraph) -> list[Coord]:
@@ -207,7 +193,7 @@ def find_embeddings(host: VectorGraph, pattern: VectorGraph) -> list[Coord]:
     _require_same_system(host, pattern)
     if pattern.is_empty:
         raise ValueError("empty pattern embeds at every offset")
-    pat = pattern.canonical().edge_items()
+    pat = pattern.canonical_key()
     host_edges = host._edges
     (p0, i0), c0 = pat[0]
     offsets = []
@@ -233,7 +219,7 @@ def subtract(g1: VectorGraph, g2: VectorGraph, offset: Coord) -> VectorGraph:
     every edge vector occurs.  A difference that lost an edge vector, or
     has an operand of any other verdict, is verified.
     """
-    return _operate(g1, g2, offset, -1)
+    return _fold(g1, [Placement(g2, offset, -1)])
 
 
 # -- primality ----------------------------------------------------------
@@ -379,7 +365,7 @@ def _default_window(target: VectorGraph, generators) -> tuple[Coord, Coord]:
     k = target.system.k
     dilate = [0] * k
     for g in generators:
-        glo, ghi = g.canonical().bounding_box()
+        glo, ghi = g.bounding_box()
         for d in range(k):
             dilate[d] = max(dilate[d], ghi[d] - glo[d])
     return (
@@ -414,12 +400,12 @@ def span_contains(
     Inside the search an edge key is one integer.  Every key it can meet
     has its tail in one coordinate box: the target's tails and the
     generators' tails shifted by the offsets of the window.  The key
-    (tail, vec_index) packs to the mixed-radix number whose digits are
-    the tail's coordinates, taken from the box's low corner, most
-    significant first, and then vec_index.  So int order is the lex order
-    of (tail, vec_index), which breaks ties between equally constrained
-    keys, and a copy translated by an offset has every key moved by one
-    integer.  The placements returned carry their offsets as tuples.
+    (tail, vec_index) packs as the tuple (*tail, vec_index) with
+    ``vgraph.Radix``, the codec the census search shares, over that box
+    and [0, n).  So int order is the lex order of (tail, vec_index), which
+    breaks ties between equally constrained keys, and a copy translated
+    by an offset has every key moved by pack((*offset, 0)).  The
+    placements returned carry their offsets as tuples.
 
     A "no_within_bounds" answer is not a proof of non-membership.
     """
@@ -439,30 +425,22 @@ def span_contains(
     lo, hi = offset_window or _default_window(target, generators)
     n = target.system.n
 
-    gen_items = [g.canonical().edge_items() for g in generators]
+    gen_items = [g.canonical_key() for g in generators]
     max_size = max(sum(c for _, c in items) for items in gen_items)
 
-    # the box of reachable tails, per coordinate, and its place values
+    # the box of reachable keys: reachable tails, then vec_index
     tails = zip(*(t for t, _ in target._edges))
     gen_tails = zip(*(t for items in gen_items for (t, _), _ in items))
-    box = [
+    lows, highs = zip(*(
         (min(min(ts), min(gs) + a), max(max(ts), max(gs) + z))
         for ts, gs, a, z in zip(tails, gen_tails, lo, hi)
-    ]
-    low = [b for b, _ in box]
-    strides = []
-    place = n
-    for b, t in reversed(box):
-        strides.insert(0, place)
-        place *= t - b + 1
+    ))
+    box = Radix((*lows, 0), (*highs, n - 1))
 
-    def pack(tail, idx):
-        return sum((x - b) * s for x, b, s in zip(tail, low, strides)) + idx
-
-    # pack is linear in the tail: a generator key at offset 0 may fall
-    # outside the box, but the key of its copy at an in-window offset,
-    # pack(pt, pi) + shift(offset), falls inside
-    gen_keys = [[(pack(pt, pi), pc) for (pt, pi), pc in items] for items in gen_items]
+    # pack is linear: a generator key at offset 0 may fall outside the
+    # box, but the key of its copy at an in-window offset,
+    # pack((*pt, pi)) + pack((*offset, 0)), falls inside
+    gen_keys = [[(box.pack((*pt, pi)), pc) for (pt, pi), pc in items] for items in gen_items]
     # generator edges by vec_index, in generator order then item order
     tails_by_index: dict[int, list[tuple[int, Coord]]] = {}
     for gi, items in enumerate(gen_items):
@@ -474,15 +452,12 @@ def span_contains(
     def alignments(key):
         """In-window placements (gi, offset, placed keys) of a generator
         edge over ``key``."""
-        tail, idx = [], key
-        for b, s in zip(low, strides):
-            digit, idx = divmod(idx, s)
-            tail.append(b + digit)
+        *tail, idx = box.unpack(key)
         found = []
         for gi, pt in tails_by_index.get(idx, ()):
             off = tuple(map(sub, tail, pt))
             if all(a <= x <= z for a, x, z in zip(lo, off, hi)):
-                shift = sum(map(mul, off, strides))
+                shift = box.pack((*off, 0))
                 placed = shifted[gi].get(shift)
                 if placed is None:
                     placed = shifted[gi][shift] = [(pk + shift, pc) for pk, pc in gen_keys[gi]]
@@ -513,7 +488,7 @@ def span_contains(
 
     # demand: packed edge key -> target count minus placed count (may be
     # negative); gap: the sum of its absolute values
-    demand = {pack(t, i): c for (t, i), c in target._edges.items()}
+    demand = {box.pack((*t, i)): c for (t, i), c in target._edges.items()}
     gap = sum(demand.values())
     memo: set = set()
     committed = [0] * len(generators)  # per-generator sign, 0 while unused

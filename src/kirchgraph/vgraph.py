@@ -20,12 +20,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, sub
+from math import prod
+from operator import add, mul, sub
 
 from kirchgraph.exactalg import RowSystem, span_rank
 
 Coord = tuple[int, ...]
 EdgeKey = tuple[Coord, int]  # (tail, vec_index); head is determined
+
+
+class Radix:
+    """Integer tuples in the box lo <= x <= hi (entrywise) as single ints.
+
+    ``pack`` is the dot product with the place values of the mixed radix
+    whose digit d takes hi[d] - lo[d] + 1 values, most significant entry
+    first.  So it is linear, and on the box it is one to one and int order
+    is lex order; ``unpack`` inverts it there, digit by digit from lo.
+    """
+
+    def __init__(self, lo, hi):
+        self.lo = tuple(lo)
+        sizes = [z - a + 1 for a, z in zip(lo, hi)]
+        self.place = tuple(prod(sizes[d + 1:]) for d in range(len(sizes)))
+        self._origin = self.pack(self.lo)
+
+    def pack(self, x) -> int:
+        return sum(map(mul, x, self.place))
+
+    def unpack(self, code: int) -> Coord:
+        code -= self._origin  # every digit counted from its lo
+        out = []
+        for a, place in zip(self.lo, self.place):
+            digit, code = divmod(code, place)
+            out.append(a + digit)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -57,10 +85,6 @@ class KirchhoffVerdict:
 
 def _add(a: Coord, b: Coord) -> Coord:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _neg(a: Coord) -> Coord:
-    return tuple(-x for x in a)
 
 
 class VectorGraph:
@@ -253,13 +277,11 @@ class VectorGraph:
         )
 
     def canonical(self) -> "VectorGraph":
-        """Translate so the lexicographically smallest vertex is the origin."""
-        if self.is_empty:
+        """Translate so the lexicographically smallest vertex is the origin:
+        the graph ``canonical_key()`` lists, carrying that key."""
+        if self.is_empty or not any(self.vertices[0]):
             return self
-        shift = _neg(self.vertices[0])
-        if all(x == 0 for x in shift):
-            return self
-        return self.translate(shift)
+        return self._copy(self._key)
 
     def canonical_key(self):
         """Hashable translation-invariant identity: the canonical edge list.
@@ -273,8 +295,8 @@ class VectorGraph:
     def _key(self):
         if self.is_empty:
             return ()
-        shift = _neg(self.vertices[0])
-        return tuple(sorted(((_add(t, shift), i), c) for (t, i), c in self._edges.items()))
+        low = self.vertices[0]
+        return tuple(sorted(((tuple(map(sub, t, low)), i), c) for (t, i), c in self._edges.items()))
 
     def equals_up_to_translation(self, other: "VectorGraph") -> bool:
         if self.system.R != other.system.R:
@@ -285,14 +307,19 @@ class VectorGraph:
         """Point-reflect through the origin and reverse every edge.
 
         The image of edge (u, v, i) is (-v, -u, i), which preserves the
-        geometric consistency invariant; the result is canonicalized.
+        geometric consistency invariant; the result is canonicalized,
+        built from ``chiral_key()`` and carrying it.
         """
-        heads = self._heads
-        flipped = {(_neg(heads[key]), key[1]): c for key, c in self._edges.items()}
-        return VectorGraph(self.system, flipped).canonical()
+        return self._copy(self.chiral_key())
+
+    def _copy(self, key) -> "VectorGraph":
+        """The graph whose canonical key is ``key``, carrying it."""
+        graph = VectorGraph(self.system, dict(key))
+        graph._key = key
+        return graph
 
     def chiral_key(self):
-        """``chiral().canonical_key()`` without building the image.
+        """The canonical key of the chiral image, from this graph's edges.
 
         Reflection sends the lexicographically greatest vertex ``top`` to
         the least one, so the canonical image of edge (u, v, i) has its

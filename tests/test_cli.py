@@ -5,6 +5,7 @@ import pytest
 
 from kirchgraph.cli import main, parse_matrix_text, CliError
 from kirchgraph.document import build_document, document_to_json, parse_document
+from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
 from kirchgraph.exactalg import build_row_system
 from kirchgraph.render import render_dot, render_svg
 from kirchgraph.vgraph import VectorGraph
@@ -136,6 +137,22 @@ def test_byte_identical_output_across_runs_and_workers(tmp_path, square_matrix):
         )
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_node_limit_truncates_alike_at_every_worker_count(tmp_path, square_matrix):
+    # A node-limited search runs in one process, so the limit falls on the
+    # same node of the serial order whatever --workers says.
+    docs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.json"
+        args = ["enumerate", "--matrix", str(square_matrix), "--m-max", "4"]
+        args += ["--node-limit", "300", "--workers", str(workers), "--out", str(out)]
+        assert main(args) == 4
+        docs.append(out.read_bytes())
+        config = SearchConfig(m_max=4, node_limit=300, workers=workers)
+        _, stats = enumerate_kirchhoff(build_row_system(parse_matrix_text(SQUARE)), config)
+        assert stats.nodes_expanded == 301
+    assert docs[0] == docs[1]
 
 
 # -- document round trip ----------------------------------------------------------

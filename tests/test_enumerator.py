@@ -1,4 +1,5 @@
 from itertools import product
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +7,13 @@ from hypothesis import strategies as st
 
 from kirchgraph.enumerator import (
     Search,
-    _Radix,
     SearchConfig,
     SearchStats,
     enumerate_kirchhoff,
     min_multiplicity,
 )
 from kirchgraph.exactalg import build_row_system
+from kirchgraph.vgraph import Radix
 
 from oracles import brute_force_kirchhoff_graphs
 
@@ -50,14 +51,20 @@ def test_config_validation():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 4), st.data())
-def test_radix_round_trips_and_keeps_lex_order(half, width, data):
-    radix = _Radix(half, width)
-    entry = st.integers(-half, half)
-    xs = data.draw(st.lists(st.tuples(*[entry] * width), min_size=1, max_size=12))
+@given(st.integers(1, 4), st.data())
+def test_radix_round_trips_and_keeps_lex_order(width, data):
+    # Per-digit bounds with lo != -hi, as in the span search's box; the
+    # census search's balanced boxes are among them.
+    lo = data.draw(st.lists(st.integers(-6, 3), min_size=width, max_size=width))
+    hi = [a + data.draw(st.integers(0, 6)) for a in lo]
+    radix = Radix(lo, hi)
+    point = st.tuples(*(st.integers(a, z) for a, z in zip(lo, hi)))
+    xs = data.draw(st.lists(point, min_size=1, max_size=12))
     for x in xs:
         assert radix.unpack(radix.pack(x)) == x
     assert sorted(xs, key=radix.pack) == sorted(xs)
+    for x, y in zip(xs, xs[1:]):
+        assert radix.pack(x) - radix.pack(y) == radix.pack(tuple(map(sub, x, y)))
 
 
 @pytest.mark.parametrize("rows, m_max", [
@@ -70,8 +77,8 @@ def test_vertex_packing_at_the_corners_of_the_box(rows, m_max):
     # that box, and one step inside them, packing is one to one and int
     # order is lex order.
     s = Search(build_row_system(rows), SearchConfig(m_max=m_max))
-    L = s.vertex.half
-    assert L == s.n * m_max * max(abs(x) for col in s.sys.columns for x in col)
+    L = s.n * m_max * max(abs(x) for col in s.sys.columns for x in col)
+    assert s.vertex.lo == (-L,) * s.sys.k
     corners = list(product((-L, 1 - L, 0, L - 1, L), repeat=s.sys.k))
     codes = [s.vertex.pack(x) for x in corners]
     assert [s.vertex.unpack(c) for c in codes] == corners

@@ -3,12 +3,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kirchgraph.exactalg import (
     DegenerateShape,
     ParallelColumns,
     RankDeficient,
     RationalMatrix,
+    RowSystemError,
     ZeroRowInC,
     build_row_system,
     enumerate_bounded_cuts,
@@ -142,6 +145,29 @@ def test_fractional_input_clears_denominators():
     # C' = [[2],[2]] so q = 1 and the system is integral already.
     assert sys.q == 1
     assert sys.C == ((2,), (2,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 2), st.data())
+def test_built_systems_satisfy_the_row_and_null_invariants(k, extra, data):
+    # build_row_system guarantees these by construction: R N = qC - qC = 0,
+    # the qI blocks give rank R = k and rank N = n - k, and R keeps the
+    # row space of the input.
+    n = k + extra
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    M = data.draw(st.lists(row, min_size=k, max_size=k))
+    try:
+        sys = build_row_system(M)
+    except RowSystemError:
+        assume(False)
+    assert all(
+        sum(sys.R[i][t] * sys.N[t][j] for t in range(n)) == 0
+        for i in range(k)
+        for j in range(n - k)
+    )
+    assert span_rank(sys.R) == k
+    assert span_rank(list(zip(*sys.N))) == n - k
+    assert span_rank([*M, *sys.R]) == k
 
 
 # -- membership ---------------------------------------------------------

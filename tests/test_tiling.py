@@ -147,7 +147,7 @@ def test_add_with_a_non_kirchhoff_operand_is_verified():
 )
 def test_kirchhoff_implies_vector_2_connected(rows, m_max):
     # Every row of N = [C; -qI] is nonzero, so cycle vectors spanning
-    # Null(R) cover every coordinate: _verify needs no 2-connectivity check.
+    # Null(R) cover every coordinate: _fold needs no 2-connectivity check.
     for g in census(rows, m_max):
         fresh = VectorGraph(g.system, dict(g._edges))
         assert fresh.is_kirchhoff().ok and fresh.is_vector_2_connected()
@@ -215,6 +215,17 @@ def test_subtract_everything_gives_trivial():
     f1, _ = square_pair()
     assert subtract(f1, f1, (0, 0)).is_empty
     assert subtract(f1, f1, (0, 0)).is_kirchhoff().status == "trivial"
+
+
+def test_subtract_empty_keeps_the_graph_and_its_verdict():
+    # Taking away the empty graph is skipped, before any check, so even a
+    # non-Kirchhoff graph comes back as it was.
+    f1, _ = square_pair()
+    empty = VectorGraph.empty(f1.system)
+    for g in (f1, VectorGraph(f1.system, [((0, 0), 0)])):
+        result = subtract(g, empty, (4, -1))
+        assert result.edge_items() == g.edge_items()
+        assert result.is_kirchhoff() == g.is_kirchhoff() == fresh_verdict(g)
 
 
 def record_results(monkeypatch):

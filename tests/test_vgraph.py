@@ -356,6 +356,9 @@ def assert_keys_match_the_oracle(g):
     assert g.canonical_key() == canonical
     assert g.chiral_key() == chiral
     assert g.chiral().canonical_key() == chiral
+    # the copies carry their keys, so read their edges through the oracle
+    assert translation_keys(g.chiral())[0] == chiral
+    assert g.canonical().edge_items() == list(canonical)
     assert g.is_self_chiral() == (canonical == chiral)
 
 
