@@ -11,7 +11,6 @@ _EXPORTS = {
         "DegenerateShape",
         "ParallelColumns",
         "RankDeficient",
-        "RationalMatrix",
         "RowSystem",
         "RowSystemError",
         "ZeroRowInC",

@@ -2,9 +2,11 @@
 
 Subcommands: enumerate, verify, tile, render, fundamental,
 min-multiplicity.  Matrix files hold whitespace-separated rationals
-(``p/q`` or integers), one row per line, ``#`` comments.  Exit codes:
-0 success, 2 malformed input, 3 degenerate matrix, 4 node-limit
-truncation, 5 missing embedding in a tile expression.
+(``p/q`` or integers), one row per line, ``#`` comments.  Numeric flags
+take integers >= 1.  Exit codes: 0 success, 2 malformed input, 3
+degenerate matrix, 4 node-limit truncation, 5 a tile expression that
+cannot be evaluated: a subtraction with no copy at its offset, or a sum
+or difference that is not Kirchhoff.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_TRUNCATED = 4
-EXIT_NO_EMBEDDING = 5
+EXIT_TILE_FAILED = 5
 
 
 def _deferred(layer: str, name: str):
@@ -201,16 +203,16 @@ def cmd_verify(args) -> int:
 
 def cmd_tile(args) -> int:
     _load("tiling", "document")
-    from kirchgraph.tiling import NoEmbeddingAtOffset
+    from kirchgraph.tiling import TilingError
 
     system, graphs, doc = _load_document(args.doc)
     graphs_by_id = {entry["id"]: g for entry, g in zip(doc["graphs"], graphs)}
     expr = parse_expression(args.expression, graphs_by_id, system.k)
     try:
         result = expr.evaluate()
-    except NoEmbeddingAtOffset as exc:
+    except TilingError as exc:
         print(f"tile failed: {exc}", file=sys.stderr)
-        return EXIT_NO_EMBEDDING
+        return EXIT_TILE_FAILED
     primality = None
     if args.check_prime and not result.is_empty:
         primality = {0: is_prime(result).status}
@@ -268,9 +270,7 @@ def cmd_fundamental(args) -> int:
     coeff_bound = DEFAULT_COEFF_BOUND if args.coeff_bound is None else args.coeff_bound
     system = _load_system(args.matrix)
     config = SearchConfig(m_max=args.m_max, workers=args.workers)
-    graphs, stats = enumerate_kirchhoff(system, config)
-    if not stats.complete:
-        return EXIT_TRUNCATED
+    graphs, _ = enumerate_kirchhoff(system, config)
     if not graphs:
         print("no graphs to generate")
         return EXIT_OK
@@ -296,6 +296,16 @@ def cmd_min_multiplicity(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of the numeric flags: an integer >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kirchgraph",
@@ -308,12 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="find all graphs up to a multiplicity bound")
     add_matrix_opts(p)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--m-max", type=int, required=True)
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--m-max", type=_positive_int, required=True)
     p.add_argument("--out", help="write the JSON document here")
     p.add_argument("--classify-prime", action="store_true")
     p.add_argument("--no-negative-sum-prune", action="store_true")
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--node-limit", type=_positive_int, default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="re-check every graph in a document")
@@ -336,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fundamental", help="minimum generating subsets")
     add_matrix_opts(p)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--coeff-bound", type=int)
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--m-max", type=_positive_int, required=True)
+    p.add_argument("--coeff-bound", type=_positive_int)
     p.set_defaults(func=cmd_fundamental)
 
     p = sub.add_parser("min-multiplicity", help="smallest m with any graph")
     add_matrix_opts(p)
-    p.add_argument("--m-limit", type=int, required=True)
+    p.add_argument("--m-limit", type=_positive_int, required=True)
     p.set_defaults(func=cmd_min_multiplicity)
 
     return parser

@@ -124,7 +124,7 @@ class Search:
     the bitmask over ``lam`` (bit j for ``lam[j]``) of the cuts t with
     |t_i - c| <= m_max - k; ``_box_mask`` ANDs one entry per vector, so
     ``_visit`` hands ``_apply`` only the cuts inside the box, in list
-    order.  ``_apply`` still checks the cap, as callers may pass any cut.
+    order, and ``_apply`` relies on that.
 
     Three tables fill on first use, since a search meets few of the cuts
     and vertices its bounds allow: per live cut its ``_box`` row, per
@@ -137,7 +137,7 @@ class Search:
         self.sys = sys
         self.config = config
         self.n = n = sys.n
-        self.m_max = m = config.m_max
+        m = config.m_max
         self.lam = enumerate_bounded_cuts(sys, m)
         # the boxes are proved in the module docstring
         L = n * m * max(abs(x) for col in sys.columns for x in col)
@@ -174,8 +174,7 @@ class Search:
         self._moves: dict[int, dict[int, tuple]] = {}
         self._coords: dict[int, tuple] = {}
         self.stats = SearchStats()
-        self.truncated = False
-        self.found: dict[tuple, dict] = {}
+        self.found: set[tuple] = set()
         # mutable search state
         self.cuts: dict[int, int] = {}
         self.counts = [0] * n
@@ -183,7 +182,7 @@ class Search:
 
     def run(self, anchor_indices) -> None:
         for li in anchor_indices:
-            if self.truncated:
+            if not self.stats.complete:
                 break
             self.cuts = {0: 0}  # the anchor: the origin, zero cut
             self.counts = [0] * self.n
@@ -208,13 +207,11 @@ class Search:
     # -- search core --------------------------------------------------
 
     def _visit(self, todo) -> None:
-        if self.truncated:
-            return
         stats = self.stats
         stats.nodes_expanded += 1
         limit = self.config.node_limit
         if limit is not None and stats.nodes_expanded > limit:
-            self.truncated = True
+            stats.complete = False
             return
         if not todo:
             self._emit()
@@ -223,8 +220,8 @@ class Search:
         rest = todo[1:]
         targets = self._targets
         mask = self._box_mask(self.cuts[v])
-        # A live cut is not in lam, so every cut outside the box is one
-        # that would have failed _apply's multiplicity check.
+        # A live cut is not in lam, so every cut outside the box is a move
+        # that would break the multiplicity cap.
         stats.prunes_multiplicity += len(targets) - mask.bit_count()
         while mask:
             low = mask & -mask
@@ -235,7 +232,7 @@ class Search:
                 continue
             self._visit(child)
             self._undo()
-            if self.truncated:
+            if not stats.complete:
                 # a truncated search never tries the cuts after lam[j]
                 stats.prunes_multiplicity -= len(targets) - 1 - j - mask.bit_count()
                 return
@@ -270,11 +267,15 @@ class Search:
         """Add the net edges turning v's cut into ``target``; ``rest`` is
         the rest of v's to-do list.
 
+        ``target`` must differ from v's cut and keep every count within
+        ``m_max``: ``_visit`` takes it from v's ``_box_mask``, which lacks
+        v's live cut (not in ``lam``), and ``run`` moves an anchor at zero
+        counts and cut to a nonzero cut of ``lam`` (entries <= m_max).
+
         Returns the child to-do list: ``rest`` less the vertices this move
         satisfied, then the ones it made live, so a to-do list holds only
-        live vertices.  Returns None when the assignment would break the
-        multiplicity cap or create a negative-sum vertex.  An assignment
-        made is kept for ``_undo``.
+        live vertices.  Returns None when the assignment would create a
+        negative-sum vertex.  An assignment made is kept for ``_undo``.
         """
         cuts = self.cuts
         cur = cuts[v]
@@ -284,14 +285,6 @@ class Search:
         steps = moves.get(target)
         if steps is None:
             steps = moves[target] = self._steps(cur, target)
-        counts = self.counts
-        m = self.m_max
-        for i, ad, _, _, _, _ in steps:
-            if counts[i] + ad > m:
-                self.stats.prunes_multiplicity += 1
-                return None
-        if not steps:
-            return None
         if self.config.prune_negative_sum:
             x = self._coords.get(v)
             if x is None:
@@ -303,6 +296,7 @@ class Search:
                     return None
 
         rowset = self.rowset
+        counts = self.counts
         olds = []
         appended = []
         done = []
@@ -363,15 +357,14 @@ class Search:
             if x is None:
                 x = coords[tail] = self.vertex.unpack(tail)
             items.append(((x, i), c))
-        key = tuple(items)
-        self.found[key] = dict(key)
+        self.found.add(tuple(items))
 
 
 def _run_slice(args):
     sys, config, indices = args
     searcher = Search(sys, config)
     searcher.run(indices)
-    return searcher.found, searcher.stats, searcher.truncated
+    return searcher.found, searcher.stats
 
 
 def enumerate_kirchhoff(
@@ -392,12 +385,9 @@ def enumerate_kirchhoff(
     """
     searcher = Search(sys, config)
     indices = range(len(searcher.anchor_cuts))
-    stats = SearchStats()
-    found: dict[tuple, dict] = {}
-    truncated = False
     if config.workers == 1 or len(searcher.anchor_cuts) <= 1 or config.node_limit is not None:
         searcher.run(indices)
-        found, stats, truncated = searcher.found, searcher.stats, searcher.truncated
+        found, stats = searcher.found, searcher.stats
     else:
         import multiprocessing as mp
 
@@ -405,19 +395,18 @@ def enumerate_kirchhoff(
             (sys, replace(config, workers=1), list(indices)[w :: config.workers])
             for w in range(config.workers)
         ]
+        found, stats = set(), SearchStats()
         with mp.Pool(config.workers) as pool:
-            for part_found, part_stats, part_trunc in pool.map(_run_slice, slices):
-                found.update(part_found)
+            for part_found, part_stats in pool.map(_run_slice, slices):
+                found |= part_found
                 stats.merge(part_stats)
-                truncated = truncated or part_trunc
     graphs = []
     for key in sorted(found):
-        graph = VectorGraph(sys, found[key])
+        graph = VectorGraph(sys, dict(key))
         graph._verdict = KirchhoffVerdict("ok")  # by the theorem in Search._emit
         graph._key = key  # canonical_key(), as Search._emit built it
         graphs.append(graph)
     stats.graphs_found = len(graphs)
-    stats.complete = not truncated
     return graphs, stats
 
 

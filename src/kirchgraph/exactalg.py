@@ -48,52 +48,22 @@ def _frac(x) -> Fraction:
     raise TypeError(f"matrix entries must be int, Fraction or str, got {type(x)!r}")
 
 
-class RationalMatrix:
-    """Immutable dense matrix of Fractions, row-major."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, rows):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise ValueError("matrix must be nonempty")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @property
-    def cols(self) -> int:
-        return len(self.data[0])
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.data)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
-        return f"RationalMatrix[{body}]"
+def _rows(matrix) -> list[list[Fraction]]:
+    """``matrix`` as a nonempty rectangular list of Fraction rows."""
+    rows = [[_frac(x) for x in row] for row in matrix]
+    if not rows or not rows[0]:
+        raise ValueError("matrix must be nonempty")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged rows")
+    return rows
 
 
-def rref(M: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...], int]:
-    """Reduced row echelon form over the rationals.
-
-    Returns ``(reduced, pivot_columns, rank)``.  Total on nonempty
-    matrices; the result is the unique RREF of ``M``.
-    """
-    work = [list(row) for row in M.data]
+def rref(M) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...], int]:
+    """Reduced row echelon form over the rationals of the nonempty
+    matrix ``M``, given as rows: ``(reduced_rows, pivot_columns, rank)``,
+    where ``reduced_rows`` is the unique RREF of ``M``."""
+    work = _rows(M)
     nrows, ncols = len(work), len(work[0])
     pivots: list[int] = []
     r = 0
@@ -112,15 +82,15 @@ def rref(M: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...], int]:
         r += 1
         if r == nrows:
             break
-    return RationalMatrix(work), tuple(pivots), len(pivots)
+    return tuple(map(tuple, work)), tuple(pivots), len(pivots)
 
 
 def span_rank(vectors) -> int:
     """Rank of the rational span of integer (or rational) vectors."""
-    vectors = [list(map(_frac, v)) for v in vectors]
+    vectors = list(vectors)
     if not vectors:
         return 0
-    return rref(RationalMatrix(vectors))[2]
+    return rref(vectors)[2]
 
 
 @dataclass(frozen=True)
@@ -181,12 +151,12 @@ def build_row_system(edge_matrix) -> RowSystem:
     Raises DegenerateShape, ParallelColumns, RankDeficient or ZeroRowInC
     on inputs that cannot carry a vector 2-connected Kirchhoff graph.
     """
-    M = edge_matrix if isinstance(edge_matrix, RationalMatrix) else RationalMatrix(edge_matrix)
-    k, n = M.rows, M.cols
+    M = _rows(edge_matrix)
+    k, n = len(M), len(M[0])
     if k <= 1 or k >= n:
         raise DegenerateShape(f"need 1 < k < n, got k={k}, n={n}")
 
-    cols = [M.column(j) for j in range(n)]
+    cols = list(zip(*M))
     for j, col in enumerate(cols):
         if all(x == 0 for x in col):
             raise ParallelColumns(f"column {j} is zero")
@@ -201,7 +171,7 @@ def build_row_system(edge_matrix) -> RowSystem:
     if pivots[:k] != tuple(range(k)) or rank != k:
         raise RankDeficient("first k columns are not a basis of the column space")
 
-    cprime = [[reduced.data[i][k + j] for j in range(n - k)] for i in range(k)]
+    cprime = [[reduced[i][k + j] for j in range(n - k)] for i in range(k)]
     q = lcm(*(x.denominator for row in cprime for x in row)) if n > k else 1
     C = tuple(tuple(int(x * q) for x in row) for row in cprime)
     for i, row in enumerate(C):

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from kirchgraph.exactalg import RationalMatrix, rref
+from kirchgraph.exactalg import rref
 from kirchgraph.vgraph import VectorGraph
 
 
@@ -22,7 +22,7 @@ def solve_membership(rows, x):
 
     k, n = len(rows), len(rows[0])
     aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(x[j])] for j in range(n)]
-    _, pivots, _ = rref(RationalMatrix(aug))
+    _, pivots, _ = rref(aug)
     return k not in pivots
 
 

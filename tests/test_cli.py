@@ -321,6 +321,17 @@ def test_tile_bad_offset_exits_5(square_doc, capsys):
     assert code == 5
 
 
+def test_tile_non_kirchhoff_operand_exits_5(square_doc, tmp_path, capsys):
+    doc = json.loads(square_doc.read_text())
+    doc["graphs"][0]["edges"].pop()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--doc", str(bad)]) == 1
+    assert capsys.readouterr().out.startswith("G0: bad_vertex")
+    assert main(["tile", "--doc", str(bad), "1*G0"]) == 5
+    assert "tile failed: sum produced a non-Kirchhoff graph" in capsys.readouterr().err
+
+
 def test_tile_parse_errors(square_doc):
     assert main(["tile", "--doc", str(square_doc), "1*G9@(0,0)"]) == 2
     assert main(["tile", "--doc", str(square_doc), "- 1*G0@(0,0)"]) == 2
@@ -468,3 +479,27 @@ def test_min_multiplicity_takes_no_workers(square_matrix):
     with pytest.raises(SystemExit) as err:
         main(["min-multiplicity", "--matrix", str(square_matrix), "--m-limit", "2", "--workers", "2"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("enumerate", "--m-max"),
+        ("enumerate", "--workers"),
+        ("enumerate", "--node-limit"),
+        ("fundamental", "--m-max"),
+        ("fundamental", "--coeff-bound"),
+        ("min-multiplicity", "--m-limit"),
+    ],
+)
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_numeric_flags_below_one_exit_2(square_matrix, capsys, command, flag, value):
+    # argparse converts every occurrence of a flag, so the value is
+    # rejected even after a valid one.
+    bound = "--m-limit" if command == "min-multiplicity" else "--m-max"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--matrix", str(square_matrix), bound, "2", flag, value])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer >= 1" in stderr
+    assert "Traceback" not in stderr

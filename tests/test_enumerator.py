@@ -128,23 +128,6 @@ def test_assign_full_row_cut_at_anchor():
     assert cuts_of(s)[(2, 0)] == (-2, 0, 0, 0)
 
 
-def test_assign_matching_target_is_a_no_op():
-    sys = square_system()
-    s = fresh_search(sys)
-    assert apply(s, (0, 0), (0, 0, 0, 0)) is None
-    assert edges_of(s) == {}
-
-
-def test_assign_over_multiplicity_fails():
-    sys = square_system()
-    s = fresh_search(sys, m_max=2)
-    before = s.stats.prunes_multiplicity
-    apply(s, (0, 0), (2, 0, 1, 1))
-    # a third copy of s1 would be needed to move the origin cut to (-1,...)
-    assert apply(s, (0, 0), (-1, 1, 0, -1)) is None
-    assert s.stats.prunes_multiplicity == before + 1
-
-
 def test_assign_negative_sum_prunes_new_vertex():
     sys = square_system()
     s = fresh_search(sys)
@@ -171,15 +154,22 @@ def test_undo_restores_state():
 def test_child_todo_lists_every_live_vertex(which, m_max, data):
     # Random paths down the search tree: each child to-do list holds every
     # live vertex once, the parent's pending ones that stay live first and
-    # in their order, as when _visit filtered the satisfied ones out.
+    # in their order, as when _visit filtered the satisfied ones out.  The
+    # anchor moves to a cut of anchor_cuts and every later vertex to one
+    # of its _box_mask, as in run and _visit.
     sys = square_system() if which == "square" else triangle_system()
     s = fresh_search(sys, m_max, prune_negative_sum=data.draw(st.booleans()))
     lam = s.lam
     todo = [(0,) * sys.k]
-    for _ in range(data.draw(st.integers(1, 8))):
+    for step in range(data.draw(st.integers(1, 8))):
         v, rest = todo[0], todo[1:]
-        cur = cuts_of(s)[v]
-        options = [t for t in lam if t != cur]
+        if step == 0:
+            options = [s.cut.unpack(c) for c in s.anchor_cuts]
+        else:
+            mask = s._box_mask(s.cut.pack(cuts_of(s)[v]))
+            options = [t for j, t in enumerate(lam) if mask >> j & 1]
+        if not options:
+            break
         todo = apply(s, v, data.draw(st.sampled_from(options)), rest)
         if todo is None:
             break
@@ -219,6 +209,22 @@ def test_box_mask_yields_the_cuts_within_the_cap(which, m_max, data):
             if cur not in lam:
                 mask = s._box_mask(s.cut.pack(cur))
                 assert [t for j, t in enumerate(lam) if mask >> j & 1] == within_cap(cur)
+
+
+@pytest.mark.parametrize("which", ["square", "triangle"])
+@pytest.mark.parametrize("m_max", [1, 2, 4])
+def test_anchor_cuts_are_nonzero_moves_within_the_cap(which, m_max):
+    # run hands _apply the anchor at zero counts and zero cut, so each
+    # anchor cut must be a move _apply accepts: inside _box_mask(0) and
+    # not the zero cut itself.
+    sys = square_system() if which == "square" else triangle_system()
+    s = fresh_search(sys, m_max)
+    mask = s._box_mask(0)
+    targets = s._targets
+    assert s.anchor_cuts
+    for c in s.anchor_cuts:
+        assert c != 0
+        assert mask >> targets.index(c) & 1
 
 
 # -- full runs -------------------------------------------------------------

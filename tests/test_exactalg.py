@@ -10,7 +10,6 @@ from kirchgraph.exactalg import (
     DegenerateShape,
     ParallelColumns,
     RankDeficient,
-    RationalMatrix,
     RowSystemError,
     ZeroRowInC,
     build_row_system,
@@ -37,7 +36,7 @@ def solve_membership(rows, x):
     k = len(rows)
     n = len(rows[0])
     aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(x[j])] for j in range(n)]
-    _, pivots, _ = rref(RationalMatrix(aug))
+    _, pivots, _ = rref(aug)
     return k not in pivots  # consistent iff the augmented column is not a pivot
 
 
@@ -55,32 +54,33 @@ def brute_force_cuts(sys, bound):
 
 
 def test_rref_identity():
-    m, pivots, rank = rref(RationalMatrix([[1, 0], [0, 1]]))
-    assert m == RationalMatrix([[1, 0], [0, 1]])
+    m, pivots, rank = rref([[1, 0], [0, 1]])
+    assert m == ((1, 0), (0, 1))
     assert pivots == (0, 1)
     assert rank == 2
 
 
 def test_rref_square_matrix():
-    m, _, rank = rref(RationalMatrix([[2, 0, 1, 1], [0, 2, 1, -1]]))
-    assert m == RationalMatrix(
-        [[1, 0, Fraction(1, 2), Fraction(1, 2)], [0, 1, Fraction(1, 2), Fraction(-1, 2)]]
+    m, _, rank = rref([[2, 0, 1, 1], [0, 2, 1, -1]])
+    assert m == (
+        (1, 0, Fraction(1, 2), Fraction(1, 2)),
+        (0, 1, Fraction(1, 2), Fraction(-1, 2)),
     )
     assert rank == 2
 
 
 def test_rref_zero_row_keeps_rank():
     base = [[2, 0, 1, 1], [0, 2, 1, -1]]
-    _, _, rank = rref(RationalMatrix(base))
-    _, _, rank_padded = rref(RationalMatrix(base + [[0, 0, 0, 0]]))
+    _, _, rank = rref(base)
+    _, _, rank_padded = rref(base + [[0, 0, 0, 0]])
     assert rank_padded == rank == 2
 
 
 def test_rref_matches_hand_elimination():
     # 3x3 with a fraction pivot chain, eliminated by hand:
     # [[2,4,6],[1,3,5],[0,1,2]] -> [[1,0,-1],[0,1,2],[0,0,0]]
-    m, pivots, rank = rref(RationalMatrix([[2, 4, 6], [1, 3, 5], [0, 1, 2]]))
-    assert m == RationalMatrix([[1, 0, -1], [0, 1, 2], [0, 0, 0]])
+    m, pivots, rank = rref([[2, 4, 6], [1, 3, 5], [0, 1, 2]])
+    assert m == ((1, 0, -1), (0, 1, 2), (0, 0, 0))
     assert pivots == (0, 1)
     assert rank == 2
 
@@ -138,6 +138,21 @@ def test_degenerate_shapes():
         build_row_system([[1, 2]])
     with pytest.raises(DegenerateShape):
         build_row_system([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("func", [build_row_system, rref])
+@pytest.mark.parametrize(
+    "matrix, error, message",
+    [
+        ([], ValueError, "matrix must be nonempty"),
+        ([[]], ValueError, "matrix must be nonempty"),
+        ([[1, 0, 1], [0, 1]], ValueError, "ragged rows"),
+        ([[1, 0, 1.5], [0, 1, 1]], TypeError, "matrix entries must be"),
+    ],
+)
+def test_malformed_matrices_are_rejected(func, matrix, error, message):
+    with pytest.raises(error, match=message):
+        func(matrix)
 
 
 def test_fractional_input_clears_denominators():

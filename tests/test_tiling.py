@@ -629,6 +629,15 @@ def test_family_without_an_interior_embedding_raises(monkeypatch):
         build_infinite_prime_family(2)
 
 
+def test_family_periods_place_the_doubled_graph_inside_the_grid():
+    system, spread, doubled, t1, t2, emb0 = tiling._square_family_geometry()
+    assert (spread, doubled) == square_pair()
+    grid = spread
+    for off in (t1, t2, tuple(a + b for a, b in zip(t1, t2))):
+        grid = add(grid, spread, off)
+    assert emb0 in find_embeddings(grid, doubled)
+
+
 # -- fundamental sets ----------------------------------------------------------------
 
 
