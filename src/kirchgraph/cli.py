@@ -3,10 +3,11 @@
 Subcommands: enumerate, verify, tile, render, fundamental,
 min-multiplicity.  Matrix files hold whitespace-separated rationals
 (``p/q`` or integers), one row per line, ``#`` comments.  Numeric flags
-take integers >= 1.  Exit codes: 0 success, 2 malformed input, 3
-degenerate matrix, 4 node-limit truncation, 5 a tile expression that
-cannot be evaluated: a subtraction with no copy at its offset, or a sum
-or difference that is not Kirchhoff.
+take integers >= 1.  Exit codes: 0 success, 1 a graph of the document
+failed its check (``verify``), 2 malformed input, 3 degenerate matrix, 4
+node-limit truncation, 5 a tile expression that cannot be evaluated: a
+subtraction with no copy at its offset, or a sum or difference that is
+not Kirchhoff.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from importlib import import_module
 from pathlib import Path
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_TRUNCATED = 4
@@ -198,7 +200,7 @@ def cmd_verify(args) -> int:
         print(f"{entry['id']}: {verdict.status}{detail}")
         if verdict.status not in ("ok", "trivial"):
             all_ok = False
-    return EXIT_OK if all_ok else 1
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 def cmd_tile(args) -> int:

@@ -400,24 +400,24 @@ def enumerate_kirchhoff(
             for part_found, part_stats in pool.map(_run_slice, slices):
                 found |= part_found
                 stats.merge(part_stats)
-    graphs = []
-    for key in sorted(found):
-        graph = VectorGraph(sys, dict(key))
-        graph._verdict = KirchhoffVerdict("ok")  # by the theorem in Search._emit
-        graph._key = key  # canonical_key(), as Search._emit built it
-        graphs.append(graph)
+    # Search._emit built each canonical key; the module docstring proves "ok"
+    ok = KirchhoffVerdict("ok")
+    graphs = [VectorGraph._built(sys, dict(key), key, ok) for key in sorted(found)]
     stats.graphs_found = len(graphs)
     return graphs, stats
 
 
 def min_multiplicity(sys: RowSystem, m_limit: int, **config_kwargs) -> int | None:
-    """Smallest m <= m_limit with a nonempty enumeration, or None."""
+    """Smallest m <= m_limit with a nonempty enumeration, or None.  Each
+    m's search stops at the first anchor cut that yields a graph."""
     if m_limit < 1:
         raise ValueError("m_limit must be >= 1")
     for m in range(1, m_limit + 1):
-        graphs, stats = enumerate_kirchhoff(sys, SearchConfig(m_max=m, **config_kwargs))
-        if graphs:
-            return m
-        if not stats.complete:
-            raise RuntimeError("search truncated before reaching a conclusion")
+        searcher = Search(sys, SearchConfig(m_max=m, **config_kwargs))
+        for i in range(len(searcher.anchor_cuts)):
+            searcher.run([i])
+            if searcher.found:
+                return m
+            if not searcher.stats.complete:
+                raise RuntimeError("search truncated before reaching a conclusion")
     return None

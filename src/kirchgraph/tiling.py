@@ -101,17 +101,17 @@ _KIRCHHOFF = ("ok", "trivial")
 
 
 def _place(edges: dict, copies: list[int], g: VectorGraph, offset: Coord, sign: int,
-           verified: bool) -> KirchhoffVerdict | None:
+           verified: bool) -> bool:
     """Add (``sign`` 1) or remove (``sign`` -1) g's canonical form, its
     anchor at ``offset``, to or from the edge multiset ``edges``;
     ``copies`` counts the edges of each vector in it and moves along.
     A removal raises NoEmbeddingAtOffset at the first edge it misses.
 
-    Return the verdict the sum or difference theorem gives, when
-    ``verified`` (the multiset before the move is Kirchhoff or empty) and
-    g's verdict is "ok" or "trivial": "trivial" if nothing is left, "ok"
-    after a sum or after a difference that kept every edge vector.
-    Return None where the result has to be verified.
+    Return True when a theorem gives the verdict: ``verified`` (the
+    multiset before the move is Kirchhoff or empty), g's verdict is "ok"
+    or "trivial", and the move is a sum, or a difference that left
+    nothing or kept every edge vector.  The verdict is then "trivial" if
+    nothing is left, else "ok".
     """
     off = tuple(offset)
     if len(off) != g.system.k:
@@ -126,23 +126,22 @@ def _place(edges: dict, copies: list[int], g: VectorGraph, offset: Coord, sign: 
         else:
             del edges[key]
         copies[i] += sign * c
-    if not verified or g.is_kirchhoff().status not in _KIRCHHOFF:
-        return None
-    if not edges:
-        return KirchhoffVerdict("trivial")
-    if sign > 0 or all(copies):
-        return KirchhoffVerdict("ok")
-    return None
+    return (
+        verified
+        and g.is_kirchhoff().status in _KIRCHHOFF
+        and (sign > 0 or not edges or all(copies))
+    )
 
 
 def _fold(start: VectorGraph, placements) -> VectorGraph:
     """``start`` with each placement added or removed in turn.
 
     The running multiset folds into one edge dict through ``_place``.
-    Removing an empty graph is skipped.  A graph is built and checked
-    only where ``_place`` finds no theorem for the verdict, and the check
-    raises KirchhoffViolation unless the graph is Kirchhoff or empty; so
-    after the first placement the running graph is Kirchhoff or empty.
+    Removing an empty graph is skipped.  A graph is built, on a copy of
+    the dict, and checked only where ``_place`` finds no theorem for the
+    verdict, and the check raises KirchhoffViolation unless the graph is
+    Kirchhoff or empty; so after the first placement the running graph
+    is Kirchhoff or empty.
     An "ok" verdict implies vector 2-connectivity: every row of
     N = [C; -qI] is nonzero (no zero row of C), so cycle vectors that
     span Null(R) cover every coordinate.
@@ -158,16 +157,16 @@ def _fold(start: VectorGraph, placements) -> VectorGraph:
             continue
         sign = 1 if p.sign > 0 else -1
         result = None
-        if _place(edges, copies, p.graph, p.offset, sign, verified) is None:
-            result = VectorGraph(system, edges)
+        if not _place(edges, copies, p.graph, p.offset, sign, verified):
+            result = VectorGraph._built(system, dict(edges))
             verdict = result.is_kirchhoff()
             if verdict.status not in _KIRCHHOFF:
                 context = "sum" if sign > 0 else "difference"
                 raise KirchhoffViolation(f"{context} produced a non-Kirchhoff graph: {verdict}")
         verified = True
     if result is None:
-        result = VectorGraph(system, edges)
-        result._verdict = KirchhoffVerdict("ok" if edges else "trivial")
+        verdict = KirchhoffVerdict("ok" if edges else "trivial")
+        result = VectorGraph._built(system, edges, verdict=verdict)
     return result
 
 
@@ -235,11 +234,14 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
     branch dies.  The graph's own cut lies there and is the sum of the
     parts' cuts, so only part A's cut is tested.  At a leaf every vertex
     has passed that test, so a part is Kirchhoff iff it uses every edge
-    vector (see
-    ``VectorGraph.is_kirchhoff``).  The first edge is pinned to part A to
-    break the A/B symmetry.  Exhausting the tree proves primality;
-    ``budget`` caps the node count, returning "unknown" when exceeded.
-    The verdict reports the nodes spent.
+    vector (see ``VectorGraph.is_kirchhoff``).  A running count of part
+    A's copies of each vector decides that: both parts are Kirchhoff iff
+    every vector is in A and every vector is left over for B, which also
+    makes both parts nonempty.  Parts are built only for the witness.
+    The first edge is pinned to part A to break the A/B symmetry.
+    Exhausting the tree proves primality; ``budget`` caps the node count,
+    returning "unknown" when exceeded.  The verdict reports the nodes
+    spent.
     """
     if graph.is_empty:
         raise ValueError("primality is defined for nonempty graphs")
@@ -261,44 +263,21 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
         for vi in ends:
             last_key_at[vi] = ki
 
+    totals = graph.multiplicity().counts
+    copies_a = [0] * n  # part A's copies of each vector
     cuts_a = [[0] * n for _ in vertices]
     assigned: list[int] = [0] * len(keys)
     nodes = 0
 
     in_row = system.contains_in_row_space
 
-    def vertex_ok(vi: int) -> bool:
-        # part B's cut is the graph's (in Row(R)) minus part A's, so it
-        # lies in Row(R) exactly when part A's does
-        return in_row(tuple(cuts_a[vi]))
-
-    def kirchhoff_part(part_counts) -> VectorGraph | None:
-        """The part with these edge counts, if it uses every edge vector;
-        its cuts already passed ``vertex_ok``."""
-        edges = {keys[i][0]: c for i, c in enumerate(part_counts) if c}
-        if len({idx for _, idx in edges}) != n:
-            return None
-        part = VectorGraph(system, edges)
-        part._verdict = KirchhoffVerdict("ok")
-        return part
-
-    def search(ki: int) -> tuple[VectorGraph, VectorGraph] | None:
+    def search(ki: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _BudgetExhausted
         if ki == len(keys):
-            total = sum(c for _, c in keys)
-            na = sum(assigned)
-            if na == 0 or na == total:
-                return None
-            part_a = kirchhoff_part(assigned)
-            if part_a is None:
-                return None
-            part_b = kirchhoff_part([c - a for (_, c), a in zip(keys, assigned)])
-            if part_b is None:
-                return None
-            return part_a, part_b
+            return all(0 < a < t for a, t in zip(copies_a, totals))
         (_, idx), count = keys[ki]
         ends = key_ends[ki]
         low = 1 if ki == 0 else 0  # pin a copy of the first edge into part A
@@ -307,23 +286,31 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
             if a:
                 cuts_a[ends[0]][idx] += a
                 cuts_a[ends[1]][idx] -= a
-            ok = all(last_key_at[vi] != ki or vertex_ok(vi) for vi in ends)
-            if ok:
-                res = search(ki + 1)
-                if res is not None:
-                    return res
+                copies_a[idx] += a
+            # part B's cut is the graph's (in Row(R)) minus part A's, so it
+            # lies in Row(R) exactly when part A's does
+            if all(last_key_at[vi] != ki or in_row(tuple(cuts_a[vi])) for vi in ends):
+                if search(ki + 1):
+                    return True
             if a:
                 cuts_a[ends[0]][idx] -= a
                 cuts_a[ends[1]][idx] += a
-        assigned[ki] = 0
-        return None
+                copies_a[idx] -= a
+        return False
 
     try:
-        witness = search(0)
+        found = search(0)
     except _BudgetExhausted:
         return PrimalityVerdict("unknown", nodes=nodes)
-    if witness is None:
+    if not found:
         return PrimalityVerdict("prime", nodes=nodes)
+    # the search returned from the witness leaf, so ``assigned`` holds it
+    witness = tuple(
+        VectorGraph._built(
+            system, {key: c for (key, _), c in zip(keys, part) if c}, verdict=KirchhoffVerdict("ok")
+        )
+        for part in (assigned, [c - a for (_, c), a in zip(keys, assigned)])
+    )
     return PrimalityVerdict("composite", witness, nodes)
 
 
@@ -615,11 +602,7 @@ def build_infinite_prime_family(j: int) -> VectorGraph:
 # -- fundamental sets ------------------------------------------------------
 
 
-def fundamental_sets(
-    graphs,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-    offset_window: tuple[Coord, Coord] | None = None,
-) -> list[tuple[int, ...]]:
+def fundamental_sets(graphs, coeff_bound: int = DEFAULT_COEFF_BOUND) -> list[tuple[int, ...]]:
     """All minimum-cardinality generating subsets, as index tuples.
 
     Candidate generators are restricted to the minimal-multiplicity tier
@@ -641,7 +624,7 @@ def fundamental_sets(
         gens = [graphs[i] for i in subset]
         return all(
             i in subset
-            or span_contains(gens, graphs[i], coeff_bound, offset_window).contained
+            or span_contains(gens, graphs[i], coeff_bound).contained
             for i in range(len(graphs))
         )
 

@@ -112,6 +112,22 @@ class VectorGraph:
                 counts[key] = counts.get(key, 0) + count
         self._edges = counts
 
+    @classmethod
+    def _built(cls, system: RowSystem, edges: dict, key=None, verdict=None) -> "VectorGraph":
+        """The graph on ``edges``, a dict that this package built from the
+        keys of valid graphs: tuple tails of dimension k, indices in range,
+        positive counts.  It is used unchecked and uncopied.  ``key`` and
+        ``verdict``, when given, are the canonical key and the Kirchhoff
+        verdict that the builder proved; they are stored, not recomputed."""
+        graph = cls.__new__(cls)
+        graph.system = system
+        graph._edges = edges
+        if key is not None:
+            graph._key = key
+        if verdict is not None:
+            graph._verdict = verdict
+        return graph
+
     # -- basic structure --------------------------------------------
 
     @classmethod
@@ -202,9 +218,10 @@ class VectorGraph:
         vectors present minus the rank of their columns.
 
         The graph is immutable, so the verdict is computed once and
-        cached.  Code that has established it otherwise (the enumerator's
-        candidate check, the sum theorem in ``tiling.add``) stores it in
-        ``_verdict`` up front.
+        cached.  A graph that this package derived by a theorem (the
+        enumerator's candidates, the sums and differences of ``tiling``,
+        the parts of a primality witness) is built by ``_built`` carrying
+        the verdict its builder proved.
         """
         return self._verdict
 
@@ -281,13 +298,15 @@ class VectorGraph:
         the graph ``canonical_key()`` lists, carrying that key."""
         if self.is_empty or not any(self.vertices[0]):
             return self
-        return self._copy(self._key)
+        key = self._key
+        return VectorGraph._built(self.system, dict(key), key)
 
     def canonical_key(self):
         """Hashable translation-invariant identity: the canonical edge list.
 
-        Computed once and cached, like the verdict; ``enumerate_kirchhoff``
-        stores the key its search already built.
+        Computed once and cached, like the verdict; a graph built by
+        ``_built`` (the census, canonical and chiral copies) carries the key
+        its builder already had.
         """
         return self._key
 
@@ -310,13 +329,8 @@ class VectorGraph:
         geometric consistency invariant; the result is canonicalized,
         built from ``chiral_key()`` and carrying it.
         """
-        return self._copy(self.chiral_key())
-
-    def _copy(self, key) -> "VectorGraph":
-        """The graph whose canonical key is ``key``, carrying it."""
-        graph = VectorGraph(self.system, dict(key))
-        graph._key = key
-        return graph
+        key = self.chiral_key()
+        return VectorGraph._built(self.system, dict(key), key)
 
     def chiral_key(self):
         """The canonical key of the chiral image, from this graph's edges.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kirchgraph.enumerator as enumerator
 from kirchgraph.enumerator import (
     Search,
     SearchConfig,
@@ -13,9 +14,13 @@ from kirchgraph.enumerator import (
     min_multiplicity,
 )
 from kirchgraph.exactalg import build_row_system
-from kirchgraph.vgraph import Radix
+from kirchgraph.vgraph import Radix, VectorGraph
 
 from oracles import brute_force_kirchhoff_graphs
+
+TRIANGLE = [[1, 0, 1], [0, 1, 1]]
+CUBE = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
+DECOMPOSABLE = [[1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 1]]
 
 
 def square_system():
@@ -373,10 +378,47 @@ def test_node_limit_flags_incomplete():
     assert stats == SearchStats(1501, 57507, 371, 50, 23, complete=False)
 
 
+@pytest.mark.parametrize("rows, m_max", [(TRIANGLE, 4), (CUBE, 2), (DECOMPOSABLE, 1)])
+def test_census_graphs_carry_the_verdict_and_key_of_a_fresh_graph(rows, m_max):
+    # The census graphs are built unchecked, carrying the verdict and the
+    # canonical key that the search proved.
+    graphs, _ = enumerate_kirchhoff(build_row_system(rows), SearchConfig(m_max=m_max))
+    for g in graphs:
+        fresh = VectorGraph(g.system, dict(g._edges))
+        assert g.is_kirchhoff() == fresh.is_kirchhoff()
+        assert g.canonical_key() == fresh.canonical_key()
+
+
 def test_min_multiplicity():
     assert min_multiplicity(triangle_system(), 3) == 1
     assert min_multiplicity(square_system(), 2) == 2
     assert min_multiplicity(square_system(), 1) is None
+
+
+@pytest.mark.parametrize(
+    "rows, m_star, nodes",
+    [
+        ([[2, 0, 1, 1], [0, 2, 1, -1]], 2, 4),
+        (TRIANGLE, 1, 2),
+        (CUBE, 1, 5),
+        (DECOMPOSABLE, 1, 10),
+        ([[2, 0, 1, 1], [0, 2, 3, 1]], 6, 1916),
+        ([[1, 0, 2, 1], [0, 1, 1, 2]], 6, 5050),
+    ],
+)
+def test_min_multiplicity_stops_at_the_first_graph(monkeypatch, rows, m_star, nodes):
+    # Each m's search stops at the first anchor cut that yields a graph:
+    # full censuses up to steep m = 6 expand 11,966 nodes, not 1,916.
+    searches = []
+
+    class Recorded(enumerator.Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(enumerator, "Search", Recorded)
+    assert min_multiplicity(build_row_system(rows), 6) == m_star
+    assert sum(s.stats.nodes_expanded for s in searches) == nodes
 
 
 def test_min_multiplicity_refuses_truncated_evidence():

@@ -397,18 +397,24 @@ def test_split_leaves_check_that_each_part_uses_every_vector():
         assert is_prime(g).status == "prime"
 
 
+def assert_verified_witness(graph, witness):
+    """The witness parts are Kirchhoff under a fresh check, not only under
+    the verdict they carry, and their edges sum to the graph's."""
+    part_a, part_b = witness
+    assert fresh_verdict(part_a).ok and fresh_verdict(part_b).ok
+    merged = {}
+    for part in (part_a, part_b):
+        for key, c in part.edge_items():
+            merged[key] = merged.get(key, 0) + c
+    assert merged == dict(graph.edge_items())
+
+
 def test_grid_is_composite_with_verified_witness():
     f1, _ = square_pair()
     grid = grid_of_four(f1)
     verdict = is_prime(grid)
     assert verdict.status == "composite"
-    part_a, part_b = verdict.witness
-    assert part_a.is_kirchhoff().ok and part_b.is_kirchhoff().ok
-    merged = {}
-    for part in (part_a, part_b):
-        for key, c in part.edge_items():
-            merged[key] = merged.get(key, 0) + c
-    assert merged == dict(grid.edge_items())
+    assert_verified_witness(grid, verdict.witness)
 
 
 def test_budget_exhaustion_returns_unknown():
@@ -418,11 +424,26 @@ def test_budget_exhaustion_returns_unknown():
     assert verdict.nodes == 6  # the node over budget stops the search
 
 
+def assert_census_primality(rows, m_max, total, primes, nodes):
+    """Pin the statuses and split-search nodes of is_prime over a census,
+    and check every composite witness."""
+    graphs = census(rows, m_max)
+    verdicts = [is_prime(g) for g in graphs]
+    assert len(verdicts) == total
+    assert sum(v.status == "prime" for v in verdicts) == primes
+    assert sum(v.nodes for v in verdicts) == nodes
+    for g, v in zip(graphs, verdicts):
+        if v.status == "composite":
+            assert_verified_witness(g, v.witness)
+
+
 def test_primality_reports_its_nodes_over_the_triangle_census():
-    verdicts = [is_prime(g) for g in census(TRIANGLE, 4)]
-    assert len(verdicts) == 1295
-    assert sum(v.status == "prime" for v in verdicts) == 58
-    assert sum(v.nodes for v in verdicts) == 15408
+    assert_census_primality(TRIANGLE, 4, 1295, 58, 15408)
+
+
+def test_primality_reports_its_nodes_over_the_decomposable_census():
+    # each part of a split must use all six vectors, which the leaves count
+    assert_census_primality(DECOMPOSABLE, 2, 5527, 1824, 132724)
 
 
 def test_primality_rejects_bad_inputs():
