@@ -127,12 +127,27 @@ class RowSystem:
             "_nt",
             tuple(tuple(self.N[i][j] for i in range(self.n)) for j in range(self.n - self.k)),
         )
+        object.__setattr__(self, "_in_row", {})  # contains_in_row_space's answers
 
     def contains_in_row_space(self, x) -> bool:
-        """True iff x is a rational combination of the rows of R (N^T x = 0)."""
-        if len(x) != self.n:
-            raise ValueError(f"expected length {self.n}, got {len(x)}")
-        return all(sum(c * xi for c, xi in zip(col, x)) == 0 for col in self._nt)
+        """True iff x is a rational combination of the rows of R (N^T x = 0).
+
+        The answer is memoized by ``tuple(x)``: the graphs of one system
+        meet few distinct cuts (the 1,295 of triangle m = 4 meet 40), and
+        the primality search and the Kirchhoff check ask about the same
+        ones again and again.  The memo lives as long as the system and
+        holds one entry per distinct cut asked about; it is no dataclass
+        field, so equality and hashing ignore it.
+        """
+        x = tuple(x)
+        known = self._in_row.get(x)
+        if known is None:
+            if len(x) != self.n:
+                raise ValueError(f"expected length {self.n}, got {len(x)}")
+            known = self._in_row[x] = all(
+                sum(c * xi for c, xi in zip(col, x)) == 0 for col in self._nt
+            )
+        return known
 
     def contains_in_null_space(self, x) -> bool:
         """True iff R x = 0."""

@@ -32,7 +32,7 @@ from functools import lru_cache
 from operator import sub
 
 from kirchgraph.exactalg import build_row_system
-from kirchgraph.vgraph import Coord, KirchhoffVerdict, Radix, VectorGraph
+from kirchgraph.vgraph import Coord, KirchhoffVerdict, Radix, VectorGraph, _check_point
 
 DEFAULT_COEFF_BOUND = 8
 DEFAULT_PRIME_BUDGET = 2_000_000
@@ -114,8 +114,7 @@ def _place(edges: dict, copies: list[int], g: VectorGraph, offset: Coord, sign: 
     nothing is left, else "ok".
     """
     off = tuple(offset)
-    if len(off) != g.system.k:
-        raise ValueError(f"offset {off} has wrong dimension")
+    _check_point(off, g.system.k, "offset")
     for (t, i), c in g.canonical_key():
         key = (tuple(a + b for a, b in zip(t, off)), i)
         have = edges.get(key, 0) + sign * c

@@ -87,6 +87,16 @@ def _add(a: Coord, b: Coord) -> Coord:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _check_point(x: Coord, k: int, what: str) -> None:
+    """Raise ValueError unless x is a point of the lattice Z^k.
+    ``type(c) is int`` rejects floats such as 1.0 and bools, as
+    ``parse_document`` does."""
+    if len(x) != k:
+        raise ValueError(f"{what} {x} has wrong dimension")
+    if not all(type(c) is int for c in x):
+        raise ValueError(f"{what} {x} is not an integer point")
+
+
 class VectorGraph:
     """Immutable lattice multigraph with vector-labeled directed edges."""
 
@@ -110,6 +120,11 @@ class VectorGraph:
             if count:
                 key = (tail, idx)
                 counts[key] = counts.get(key, 0) + count
+        # one pass over every coordinate: a check per tail would cost
+        # parse_document a function call per edge
+        if not all(type(c) is int for tail, _ in counts for c in tail):
+            bad = next(t for t, _ in counts if not all(type(c) is int for c in t))
+            raise ValueError(f"vertex {bad} is not an integer point")
         self._edges = counts
 
     @classmethod
@@ -288,6 +303,7 @@ class VectorGraph:
 
     def translate(self, offset: Coord) -> "VectorGraph":
         offset = tuple(offset)
+        _check_point(offset, self.system.k, "offset")
         return VectorGraph(
             self.system,
             {(_add(tail, offset), idx): c for (tail, idx), c in self._edges.items()},

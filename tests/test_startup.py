@@ -17,20 +17,25 @@ import pytest
 import kirchgraph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-REPORT = (
-    "import json, sys; "
-    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('kirchgraph.'))))"
-)
+REPORT = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
 
-def loaded_layers(code: str) -> set[str]:
+def loaded_modules(code: str) -> set[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", f"{code}\n{REPORT}"],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    return {name.removeprefix("kirchgraph.") for name in json.loads(done.stdout.splitlines()[-1])}
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def loaded_layers(code: str) -> set[str]:
+    return {
+        name.removeprefix("kirchgraph.")
+        for name in loaded_modules(code)
+        if name.startswith("kirchgraph.")
+    }
 
 
 def run_cli(argv) -> str:
@@ -54,6 +59,21 @@ def test_subcommands_load_only_their_layers(tmp_path):
     layers = loaded_layers(run_cli(["fundamental", "--matrix", matrix, "--m-max", "2"]))
     assert {"tiling", "enumerator"} <= layers
     assert not layers & {"document", "render"}
+
+
+def test_serial_runs_do_not_load_multiprocessing(tmp_path):
+    # a pool is opened only for --workers > 1 without a node limit
+    matrix = tmp_path / "triangle.txt"
+    matrix.write_text("1 0 1\n0 1 1\n")
+    doc = tmp_path / "doc.json"
+    enumerate_args = ["enumerate", "--matrix", matrix, "--m-max", "2", "--classify-prime"]
+    for argv in (
+        enumerate_args + ["--out", doc],
+        enumerate_args + ["--workers", "2", "--node-limit", "1000"],
+        ["verify", "--doc", doc],
+    ):
+        assert "multiprocessing" not in loaded_modules(run_cli(argv))
+    assert "multiprocessing" in loaded_modules(run_cli(enumerate_args + ["--workers", "2"]))
 
 
 def test_public_names_resolve_on_first_access():

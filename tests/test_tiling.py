@@ -95,6 +95,19 @@ def test_add_self_doubles_multiplicity():
     assert add(f1, f1, (2, 2)).multiplicity().m == 4
 
 
+@pytest.mark.parametrize("offset", [(0.5, 0), (1.0, 0), (False, 0)])
+def test_placements_reject_an_offset_off_the_lattice(offset):
+    # the triangle m=1 graph placed at (0.5, 0) would be a "Kirchhoff"
+    # graph with m = 2 and a vertex off the lattice
+    g = VectorGraph(build_row_system([[1, 0, 1], [0, 1, 1]]), [((0, 0), 0), ((1, 0), 1), ((0, 0), 2)])
+    with pytest.raises(ValueError, match="not an integer point"):
+        add(g, g, offset)
+    with pytest.raises(ValueError, match="not an integer point"):
+        subtract(add(g, g, (0, 0)), g, offset)
+    with pytest.raises(ValueError, match="not an integer point"):
+        TilingExpression((Placement(g, (0, 0), 1), Placement(g, offset, 1))).evaluate()
+
+
 def test_add_requires_same_system():
     f1, _ = square_pair()
     with pytest.raises(SystemMismatch):

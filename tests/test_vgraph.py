@@ -39,11 +39,24 @@ def triangle_graph(sys=None):
         ({((0, 0), -1): 1}, "vec_index -1 out of range"),
         ({((0, 0, 0), 0): 1}, "wrong dimension"),
         ({((0, 0), 0): -1}, "negative edge count"),
+        ({((0.5, 0), 0): 1}, "not an integer point"),
+        ({((1.0, 0), 0): 1}, "not an integer point"),
+        ({((True, 0), 0): 1}, "not an integer point"),
     ],
 )
 def test_constructor_rejects_malformed_edges(edges, message):
     with pytest.raises(ValueError, match=message):
         VectorGraph(square_system(), edges)
+
+
+@pytest.mark.parametrize(
+    "offset, message",
+    [((0.5, 0), "not an integer point"), ((True, 0), "not an integer point"),
+     ((1, 0, 0), "wrong dimension")],
+)
+def test_translate_rejects_an_offset_off_the_lattice(offset, message):
+    with pytest.raises(ValueError, match=message):
+        triangle_graph().translate(offset)
 
 
 def test_vertices_are_exactly_endpoints():
