@@ -189,20 +189,21 @@ def parse_document(text: str) -> tuple[RowSystem, list[VectorGraph], dict]:
         # type(x) is int rejects floats such as 1.0 and 1.5, and bools
         if not all(type(x) is int for v in verts for x in v):
             raise ValueError(f"graph {entry['id']} has a non-integer vertex coordinate")
-        edges = {}
-        heads = {}
+        # the constructor checks each vec_index and count; the tail and
+        # head must index the vertex list
+        items = []
+        ends = []
         for e in entry["edges"]:
-            tail, head, idx, count = e["tail"], e["head"], e["vec_index"], e["count"]
-            if not type(tail) is type(head) is type(idx) is type(count) is int:
-                raise ValueError(f"edge {e} holds a non-integer value")
-            if not (0 <= tail < len(verts) and 0 <= head < len(verts) and 0 <= idx < system.n):
-                raise ValueError(f"edge {e} indexes past the vertex list or the edge vectors")
-            key = (verts[tail], idx)
-            edges[key] = edges.get(key, 0) + count
-            heads[key] = tuple(map(add, key[0], cols[idx]))
-            if heads[key] != verts[head]:
-                raise ValueError(f"edge {e} is geometrically inconsistent")
-        graph = VectorGraph(system, edges)
-        graph._heads = {key: heads[key] for key in graph._edges}  # checked above
+            tail, head = e["tail"], e["head"]
+            if not (type(tail) is type(head) is int
+                    and 0 <= tail < len(verts) and 0 <= head < len(verts)):
+                raise ValueError(f"edge {e} indexes past the vertex list")
+            items.append((verts[tail], e["vec_index"], e["count"]))
+            ends.append(verts[head])
+        graph = VectorGraph(system, items)
+        heads = graph._heads  # a zero-count edge is dropped and has no entry
+        for (tail, idx, _), head in zip(items, ends):
+            if (heads.get((tail, idx)) or tuple(map(add, tail, cols[idx]))) != head:
+                raise ValueError(f"edge {tail} -> {head} along {idx} is geometrically inconsistent")
         graphs.append(graph)
     return system, graphs, doc

@@ -73,6 +73,7 @@ taking the next cut keeps both busy where a fixed split would not.
 
 from __future__ import annotations
 
+# kept for SearchConfig, which callers copy with dataclasses.replace, and the mutable SearchStats
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, getitem

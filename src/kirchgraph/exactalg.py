@@ -12,7 +12,6 @@ Everything here is exact: entries are Python ints or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -93,7 +92,6 @@ def span_rank(vectors) -> int:
     return rref(vectors)[2]
 
 
-@dataclass(frozen=True)
 class RowSystem:
     """An edge-vector set in normalized ``R = [q*I | C]`` form.
 
@@ -104,30 +102,16 @@ class RowSystem:
     R        k x n integer row matrix; column i represents edge vector i
     C        k x (n-k) integer dependency block, C = q * C'
     N        n x (n-k) integer null matrix [C / -q*I]
+    columns  the edge vectors as integer k-tuples (columns of R)
+
+    Systems compare and hash by identity; graph code compares ``R``.
     """
 
-    n: int
-    k: int
-    q: int
-    R: tuple[tuple[int, ...], ...]
-    C: tuple[tuple[int, ...], ...]
-    N: tuple[tuple[int, ...], ...]
-
-    @property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Edge vectors as integer k-tuples (columns of R)."""
-        return self._columns
-
-    def __post_init__(self):
-        # Edge vectors, read per edge by the graph code, built once.
-        object.__setattr__(self, "_columns", tuple(zip(*self.R)))
-        # N columns as rows of N^T, precomputed for the hot membership test.
-        object.__setattr__(
-            self,
-            "_nt",
-            tuple(tuple(self.N[i][j] for i in range(self.n)) for j in range(self.n - self.k)),
-        )
-        object.__setattr__(self, "_in_row", {})  # contains_in_row_space's answers
+    def __init__(self, n: int, k: int, q: int, R, C, N):
+        self.n, self.k, self.q, self.R, self.C, self.N = n, k, q, R, C, N
+        self.columns = tuple(zip(*R))
+        self._nt = tuple(zip(*N))  # N^T, rows for the membership test
+        self._in_row = {}  # contains_in_row_space's answers
 
     def contains_in_row_space(self, x) -> bool:
         """True iff x is a rational combination of the rows of R (N^T x = 0).
@@ -136,8 +120,7 @@ class RowSystem:
         meet few distinct cuts (the 1,295 of triangle m = 4 meet 40), and
         the primality search and the Kirchhoff check ask about the same
         ones again and again.  The memo lives as long as the system and
-        holds one entry per distinct cut asked about; it is no dataclass
-        field, so equality and hashing ignore it.
+        holds one entry per distinct cut asked about.
         """
         x = tuple(x)
         known = self._in_row.get(x)

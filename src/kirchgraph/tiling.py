@@ -27,7 +27,7 @@ bounds".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import sub
 
@@ -58,22 +58,19 @@ class FamilyConstructionError(TilingError):
     """An expected interior embedding was absent while growing the family."""
 
 
-@dataclass(frozen=True)
-class Placement:
-    graph: VectorGraph
-    offset: Coord
-    sign: int  # +1 or -1
+Placement = namedtuple("Placement", "graph offset sign")
+Placement.__doc__ = """One signed copy of ``graph``, its anchor at ``offset``;
+``sign`` is +1 (added) or -1 (removed)."""
 
 
-@dataclass(frozen=True)
-class TilingExpression:
-    """Signed placements, evaluated left to right.
+class TilingExpression(namedtuple("TilingExpression", "placements")):
+    """Signed placements, a tuple of Placement, evaluated left to right.
 
     Every subtraction must embed at its point in the sequence; evaluate()
     raises NoEmbeddingAtOffset otherwise.
     """
 
-    placements: tuple[Placement, ...]
+    __slots__ = ()
 
     def evaluate(self) -> VectorGraph:
         """The graph that ``add`` and ``subtract``, chained over the
@@ -85,11 +82,13 @@ class TilingExpression:
         return _fold(VectorGraph.empty(self.placements[0].graph.system), self.placements)
 
 
-@dataclass(frozen=True)
-class PrimalityVerdict:
-    status: str  # "prime" | "composite" | "unknown"
-    witness: tuple[VectorGraph, VectorGraph] | None = None
-    nodes: int = 0  # split-search nodes spent, the one over budget included
+PrimalityVerdict = namedtuple("PrimalityVerdict", "status witness nodes", defaults=(None, 0))
+PrimalityVerdict.__doc__ = """Outcome of ``is_prime``.
+
+status   "prime", "composite" or "unknown" (over budget)
+witness  for "composite", the two Kirchhoff parts; else None
+nodes    split-search nodes spent, the one over budget included
+"""
 
 
 def _require_same_system(g1: VectorGraph, g2: VectorGraph) -> None:
@@ -320,11 +319,16 @@ class _BudgetExhausted(Exception):
 # -- span membership ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpanResult:
-    status: str  # "yes" | "no_within_bounds"
-    expression: TilingExpression | None = None
-    nodes: int = 0  # search nodes spent, over every deepening round
+class SpanResult(namedtuple("SpanResult", "status expression nodes", defaults=(None, 0))):
+    """Outcome of ``span_contains``.
+
+    status      "yes" or "no_within_bounds"
+    expression  for "yes", a TilingExpression equal to the target up to
+                translation; else None
+    nodes       search nodes spent, over every deepening round
+    """
+
+    __slots__ = ()
 
     @property
     def contained(self) -> bool:
@@ -364,11 +368,12 @@ def span_contains(
     generators,
     target: VectorGraph,
     coeff_bound: int = DEFAULT_COEFF_BOUND,
-    offset_window: tuple[Coord, Coord] | None = None,
 ) -> SpanResult:
     """Search for a tiling expression over ``generators`` equal to
     ``target`` up to translation, using at most ``coeff_bound`` placements
-    with offsets inside ``offset_window``.
+    with offsets inside ``_default_window``: the bounding box of the
+    target's canonical form, dilated in each coordinate by the widest
+    generator's extent.
 
     An expression carries one integer coefficient per generator, so all
     placements of a given generator share one sign: copies of it are
@@ -408,7 +413,7 @@ def span_contains(
         return SpanResult("yes", TilingExpression(()))
 
     target = target.canonical()
-    lo, hi = offset_window or _default_window(target, generators)
+    lo, hi = _default_window(target, generators)
     n = target.system.n
 
     gen_items = [g.canonical_key() for g in generators]

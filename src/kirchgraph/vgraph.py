@@ -18,7 +18,7 @@ are plain integer tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import prod
 from operator import add, mul, sub
@@ -56,15 +56,19 @@ class Radix:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Multiplicity:
-    counts: tuple[int, ...]
-    uniform: bool
-    m: int | None
+Multiplicity = namedtuple("Multiplicity", "counts uniform m")
+Multiplicity.__doc__ = """Edge copies per vector.
+
+counts   the number of edge copies of each vector, by vec_index
+uniform  True iff every vector has the same count
+m        that common count when uniform, else None
+"""
 
 
-@dataclass(frozen=True)
-class KirchhoffVerdict:
+class KirchhoffVerdict(
+    namedtuple("KirchhoffVerdict", "status vertex cut rank_found rank_required",
+               defaults=(None, None, None, None))
+):
     """Outcome of the two Kirchhoff conditions.
 
     status is one of "ok", "trivial", "bad_vertex",
@@ -72,11 +76,7 @@ class KirchhoffVerdict:
     vertex and cut or the rank shortfall.
     """
 
-    status: str
-    vertex: Coord | None = None
-    cut: tuple[int, ...] | None = None
-    rank_found: int | None = None
-    rank_required: int | None = None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -111,10 +111,15 @@ class VectorGraph:
         else:
             items = [(tuple(item[0]), item[1], item[2] if len(item) > 2 else 1) for item in edges]
         for tail, idx, count in items:
+            # type(x) is int rejects floats such as 1.0, bools and strings
+            if type(idx) is not int:
+                raise ValueError(f"vec_index {idx!r} is not an int")
             if not 0 <= idx < system.n:
                 raise ValueError(f"vec_index {idx} out of range")
             if len(tail) != system.k:
                 raise ValueError(f"vertex {tail} has wrong dimension")
+            if type(count) is not int:
+                raise ValueError(f"edge count {count!r} is not an int")
             if count < 0:
                 raise ValueError("negative edge count")
             if count:

@@ -61,6 +61,23 @@ def test_subcommands_load_only_their_layers(tmp_path):
     assert not layers & {"document", "render"}
 
 
+def test_document_and_tiling_commands_do_not_load_dataclasses(tmp_path):
+    # dataclasses imports inspect (with ast, dis and tokenize); of the
+    # layers, only the search still uses it
+    matrix = tmp_path / "square.txt"
+    matrix.write_text("2 0 1 1\n0 2 1 -1\n")
+    doc = tmp_path / "doc.json"
+    assert "dataclasses" in loaded_modules(
+        run_cli(["enumerate", "--matrix", matrix, "--m-max", "2", "--out", doc])
+    )
+    for argv in (
+        ["verify", "--doc", doc],
+        ["render", "--doc", doc, "--out-dir", tmp_path / "svg"],
+        ["tile", "--doc", doc, "1*G0 + 1*G0@(2,0)", "--check-prime"],
+    ):
+        assert not loaded_modules(run_cli(argv)) & {"dataclasses", "inspect"}
+
+
 def test_serial_runs_do_not_load_multiprocessing(tmp_path):
     # a pool is opened only for --workers > 1 without a node limit
     matrix = tmp_path / "triangle.txt"

@@ -1,3 +1,4 @@
+import pickle
 import random
 from functools import lru_cache
 
@@ -13,6 +14,8 @@ from kirchgraph.tiling import (
     KirchhoffViolation,
     NoEmbeddingAtOffset,
     Placement,
+    PrimalityVerdict,
+    SpanResult,
     SystemMismatch,
     TilingExpression,
     add,
@@ -23,7 +26,7 @@ from kirchgraph.tiling import (
     span_contains,
     subtract,
 )
-from kirchgraph.vgraph import KirchhoffVerdict, VectorGraph
+from kirchgraph.vgraph import KirchhoffVerdict, Multiplicity, VectorGraph
 
 from oracles import brute_force_is_prime
 
@@ -568,18 +571,23 @@ def test_span_search_on_the_cube_system_keeps_its_trees():
     assert res.status == "no_within_bounds" and res.nodes == 49
 
 
-def test_span_search_with_a_window_that_excludes_the_origin():
+def test_span_search_with_a_window_that_excludes_the_origin(monkeypatch):
     # The target's keys at the origin lie outside every placed copy's
     # reach, so the packing box must hold the target's tails as well:
     # packed over the placed copies' box alone, a key with y = 0 would
     # take a negative y digit that borrows from x.  Recorded before the
-    # keys were packed.
+    # keys were packed.  The window is set where span_contains reads it.
     g = shear_graphs()
-    res = span_contains([g[1], g[2], g[3]], g[0], 8, ((1, 1), (5, 5)))
+
+    def search(gens, target, window):
+        monkeypatch.setattr(tiling, "_default_window", lambda *_: window)
+        return span_contains(gens, target, 8)
+
+    res = search([g[1], g[2], g[3]], g[0], ((1, 1), (5, 5)))
     assert res.status == "no_within_bounds" and res.nodes == 8
-    res = span_contains([g[0], g[2], g[3]], g[1], 8, ((-4, 1), (6, 6)))
+    res = search([g[0], g[2], g[3]], g[1], ((-4, 1), (6, 6)))
     assert res.status == "no_within_bounds" and res.nodes == 8
-    res = span_contains([g[0], g[1], g[2]], g[3], 8, ((-4, 1), (6, 6)))
+    res = search([g[0], g[1], g[2]], g[3], ((-4, 1), (6, 6)))
     assert res.status == "yes" and res.nodes == 11
     found = [(g.index(p.graph), p.offset, p.sign) for p in res.expression.placements]
     assert found == [(1, (-1, 1), 1), (0, (0, 1), 1), (2, (-1, 1), -1)]
@@ -683,3 +691,45 @@ def test_singleton_generates_itself():
 def test_square_pair_is_the_fundamental_set():
     f1, f2 = square_pair()
     assert fundamental_sets([f1, f2]) == [(0, 1)]
+
+
+# -- value records ------------------------------------------------------------
+
+_G = VectorGraph(build_row_system(TRIANGLE), [((0, 0), 0), ((1, 0), 1), ((0, 0), 2)])
+_EXPR = TilingExpression((Placement(_G, (0, 0), 1),))
+
+
+@pytest.mark.parametrize(
+    "record, values, defaults",
+    [
+        (Multiplicity, {"counts": (1, 1, 1), "uniform": True, "m": 1}, {}),
+        (
+            KirchhoffVerdict,
+            {"status": "bad_vertex", "vertex": (0, 0), "cut": (1, 0, 1),
+             "rank_found": None, "rank_required": None},
+            {"vertex": None, "cut": None, "rank_found": None, "rank_required": None},
+        ),
+        (Placement, {"graph": _G, "offset": (2, 0), "sign": -1}, {}),
+        (TilingExpression, {"placements": _EXPR.placements}, {}),
+        (PrimalityVerdict, {"status": "composite", "witness": (_G, _G), "nodes": 7},
+         {"witness": None, "nodes": 0}),
+        (SpanResult, {"status": "yes", "expression": _EXPR, "nodes": 3},
+         {"expression": None, "nodes": 0}),
+    ],
+    ids=["Multiplicity", "KirchhoffVerdict", "Placement", "TilingExpression",
+         "PrimalityVerdict", "SpanResult"],
+)
+def test_records_are_immutable_values(record, values, defaults):
+    names = tuple(values)
+    assert record._fields == names
+    a = record(*values.values())
+    assert a == record(**values) and hash(a) == hash(record(**values))
+    required = {k: v for k, v in values.items() if k not in defaults}
+    assert record(**required) == record(**required, **defaults)
+    assert a != record(**{**values, names[-1]: "other"})
+    assert repr(a) == f"{record.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in values.items()) + ")"
+    for name in (names[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    copy = pickle.loads(pickle.dumps(a))
+    assert type(copy) is record and copy == a

@@ -42,6 +42,11 @@ def triangle_graph(sys=None):
         ({((0.5, 0), 0): 1}, "not an integer point"),
         ({((1.0, 0), 0): 1}, "not an integer point"),
         ({((True, 0), 0): 1}, "not an integer point"),
+        ({((0, 0), 0): 1.5}, "edge count 1.5 is not an int"),
+        ({((0, 0), 0): True}, "edge count True is not an int"),
+        ({((0, 0), 0): "2"}, "edge count '2' is not an int"),
+        ({((0, 0), True): 1}, "vec_index True is not an int"),
+        ({((0, 0), 1.0): 1}, "vec_index 1.0 is not an int"),
     ],
 )
 def test_constructor_rejects_malformed_edges(edges, message):
