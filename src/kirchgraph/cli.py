@@ -4,10 +4,10 @@ Subcommands: enumerate, verify, tile, render, fundamental,
 min-multiplicity.  Matrix files hold whitespace-separated rationals
 (``p/q`` or integers), one row per line, ``#`` comments.  Numeric flags
 take integers >= 1.  Exit codes: 0 success, 1 a graph of the document
-failed its check (``verify``), 2 malformed input, 3 degenerate matrix, 4
-node-limit truncation, 5 a tile expression that cannot be evaluated: a
-subtraction with no copy at its offset, or a sum or difference that is
-not Kirchhoff.
+failed its check (``verify``), 2 malformed input or an output path that
+cannot be written, 3 degenerate matrix, 4 node-limit truncation, 5 a
+tile expression that cannot be evaluated: a subtraction with no copy at
+its offset, or a sum or difference that is not Kirchhoff.
 """
 
 from __future__ import annotations
@@ -110,6 +110,18 @@ def _load_document(path: str):
         raise CliError(f"bad document: {exc}", EXIT_PARSE) from exc
 
 
+def _write(path: Path, text: str | None = None) -> None:
+    """Write ``text`` to the file ``path``, or make the directory ``path``
+    when ``text`` is None; a path that cannot be written exits 2."""
+    try:
+        if text is None:
+            path.mkdir(parents=True, exist_ok=True)
+        else:
+            path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}", EXIT_PARSE) from exc
+
+
 TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*\s*)?(?P<ref>G\d+)"
     r"(?:@\(\s*(?P<off>-?\d+(?:\s*,\s*-?\d+)*)\s*\))?\s*"
@@ -183,7 +195,7 @@ def cmd_enumerate(args) -> int:
         line += " (INCOMPLETE: node limit hit)"
     print(line)
     if args.out:
-        Path(args.out).write_text(document_to_json(doc))
+        _write(Path(args.out), document_to_json(doc))
     return EXIT_OK if stats.complete else EXIT_TRUNCATED
 
 
@@ -226,7 +238,7 @@ def cmd_tile(args) -> int:
         line += f"; {primality[0]}"
     print(line)
     if args.out:
-        Path(args.out).write_text(document_to_json(out_doc))
+        _write(Path(args.out), document_to_json(out_doc))
     return EXIT_OK
 
 
@@ -246,20 +258,19 @@ def cmd_render(args) -> int:
         selected = [s for s in args.ids.split(",") if s]
     by_id = {entry["id"]: g for entry, g in zip(doc["graphs"], graphs)}
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _write(outdir)
     for gid in selected:
         if gid not in by_id:
             raise CliError(f"unknown graph id {gid}", EXIT_PARSE)
         graph = by_id[gid]
         if args.format == "dot":
-            path = outdir / f"{gid}.dot"
-            path.write_text(render_dot(graph, gid))
+            text = render_dot(graph, gid)
         elif args.format == "json":
-            path = outdir / f"{gid}.json"
-            path.write_text(document_to_json(build_document(system, [graph])))
+            text = document_to_json(build_document(system, [graph]))
         else:
-            path = outdir / f"{gid}.svg"
-            path.write_text(render_svg(graph, gid))
+            text = render_svg(graph, gid)
+        path = outdir / f"{gid}.{args.format}"
+        _write(path, text)
         print(path)
     return EXIT_OK
 

@@ -174,6 +174,7 @@ def parse_document(text: str) -> tuple[RowSystem, list[VectorGraph], dict]:
     """Rebuild the system and graphs from document JSON.
 
     Returns (system, graphs keyed in document order, raw document dict).
+    Raises ValueError unless entry i has the id ``G<i>``.
     """
     doc = json.loads(text)
     schema = doc.get("schema") if isinstance(doc, dict) else None
@@ -184,7 +185,11 @@ def parse_document(text: str) -> tuple[RowSystem, list[VectorGraph], dict]:
         raise ValueError("stored null matrix disagrees with the row matrix")
     cols = system.columns
     graphs = []
-    for entry in doc["graphs"]:
+    for i, entry in enumerate(doc["graphs"]):
+        # a graph's id names its output files, so only build_document's
+        # G<position> passes
+        if entry["id"] != f"G{i}":
+            raise ValueError(f"graph {i} has id {entry['id']!r}, not 'G{i}'")
         verts = [tuple(v) for v in entry["vertices"]]
         # type(x) is int rejects floats such as 1.0 and 1.5, and bools
         if not all(type(x) is int for v in verts for x in v):

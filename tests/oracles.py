@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the code path it checks: cut enumeration
 scans the full integer box, graph enumeration scans all edge multisets in
-a lattice window, primality scans every bipartition of the edge
+a lattice window (connected uniform graphs: one tail multiset per
+vector), primality scans every bipartition of the edge
 multiset, translation keys recompute every endpoint from the edge
 multiset, and cycle vectors are read off closed walks through a spanning
 forest built from those recomputed endpoints.
@@ -212,6 +213,62 @@ def brute_force_kirchhoff_graphs(sys, m_max, window):
             continue
         if g.is_kirchhoff().ok and g.multiplicity().uniform:
             found[key] = g
+    return found
+
+
+def connected_kirchhoff_scan(sys, m_max, window):
+    """Canonical keys of every connected uniform Kirchhoff graph with
+    multiplicity at most ``m_max`` whose vertices fit in the window.
+
+    A uniform graph of multiplicity m places each vector's m copies at a
+    multiset of tails, so the scan runs over one tail multiset per vector.
+    A choice survives only if every vertex cut lies in the row space (a
+    direct rational solve, memoized per cut) and its edges connect every
+    vertex; only then is a VectorGraph built and checked.
+    """
+    from itertools import combinations_with_replacement
+
+    instances = window_instances(sys, window)
+    tails = [[v for v, j in instances if j == i] for i in range(sys.n)]
+    cols = sys.columns
+    memo = {}
+
+    def in_row(cut):
+        if cut not in memo:
+            memo[cut] = solve_membership(sys.R, cut)
+        return memo[cut]
+
+    found = {}
+    for m in range(1, m_max + 1):
+        choices = [list(combinations_with_replacement(ts, m)) for ts in tails]
+        for pick in product(*choices):
+            edges = [(t, tuple(a + b for a, b in zip(t, cols[i])), i)
+                     for i, ts in enumerate(pick) for t in ts]
+            cuts = {}
+            for t, h, i in edges:
+                cuts.setdefault(t, [0] * sys.n)[i] += 1
+                cuts.setdefault(h, [0] * sys.n)[i] -= 1
+            if not all(in_row(tuple(c)) for c in cuts.values()):
+                continue
+            adj = {v: [] for v in cuts}
+            for t, h, _ in edges:
+                adj[t].append(h)
+                adj[h].append(t)
+            seen, stack = set(), [edges[0][0]]
+            while stack:
+                v = stack.pop()
+                if v not in seen:
+                    seen.add(v)
+                    stack.extend(adj[v])
+            if len(seen) < len(adj):
+                continue
+            counts = {}
+            for t, _, i in edges:
+                counts[t, i] = counts.get((t, i), 0) + 1
+            g = VectorGraph(sys, counts)
+            key = translation_keys(g)[0]
+            if key not in found and g.is_kirchhoff().ok:
+                found[key] = g
     return found
 
 

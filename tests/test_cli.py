@@ -222,6 +222,9 @@ def _float_vertex(graph):
         pytest.param(_set("count", True), id="bool count"),
         pytest.param(_float_vertex, id="float vertex"),
         pytest.param(lambda graph: graph.update(edges=5), id="non-list edges"),
+        pytest.param(lambda graph: graph.update(id="../escaped"), id="path id"),
+        pytest.param(lambda graph: graph.update(id="G1"), id="duplicate id"),
+        pytest.param(lambda graph: graph.update(id="X"), id="non-positional id"),
     ],
 )
 def test_malformed_document_exits_2(tmp_path, square_doc, capsys, mangle):
@@ -395,6 +398,19 @@ def test_render_empty_selection_writes_nothing(square_doc, tmp_path):
     assert list(outdir.iterdir()) == []
 
 
+def test_render_writes_nothing_outside_the_out_dir(square_doc, tmp_path, capsys):
+    # A graph's id names its file, so an id that is a path is refused
+    # before anything is written.
+    doc = json.loads(square_doc.read_text())
+    doc["graphs"][0]["id"] = "../escaped"
+    bad = tmp_path / "escaped.json"
+    bad.write_text(json.dumps(doc))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["render", "--doc", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert sorted(tmp_path.rglob("*")) == before
+    assert not (tmp_path / "escaped.svg").exists()
+
+
 def test_render_deterministic_bytes(square_doc, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -503,3 +519,25 @@ def test_numeric_flags_below_one_exit_2(square_matrix, capsys, command, flag, va
     stderr = capsys.readouterr().err
     assert f"argument {flag}: expected an integer >= 1" in stderr
     assert "Traceback" not in stderr
+
+
+# -- output paths --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["enumerate", "tile", "render"])
+def test_unwritable_output_path_exits_2(tmp_path, square_matrix, square_doc, capsys, command):
+    # enumerate and tile write into a directory that does not exist;
+    # render's out dir is an existing file.
+    missing = tmp_path / "missing" / "x.json"
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv, bad = {
+        "enumerate": (["--matrix", str(square_matrix), "--m-max", "2", "--out", str(missing)],
+                      missing),
+        "tile": (["--doc", str(square_doc), "1*G0", "--out", str(missing)], missing),
+        "render": (["--doc", str(square_doc), "--out-dir", str(blocker)], blocker),
+    }[command]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {bad}: " in err
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import product
 from operator import sub
 
@@ -16,7 +17,7 @@ from kirchgraph.enumerator import (
 from kirchgraph.exactalg import build_row_system
 from kirchgraph.vgraph import Radix, VectorGraph
 
-from oracles import brute_force_kirchhoff_graphs
+from oracles import brute_force_kirchhoff_graphs, connected_kirchhoff_scan
 
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
 CUBE = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
@@ -357,6 +358,43 @@ def test_above_minimal_multiplicity_prune_can_cost_answers():
     assert len(kf - kp) == 5
     for g in free:
         assert g.chiral().canonical_key() in kf
+
+
+# The connected scans: decomposable m = 1 over the {0,1}^4 box, triangle
+# m <= 2 over x in [0, 2], y in [-2, 2].
+SCANS = {
+    "decomposable m=1": (DECOMPOSABLE, 1, list(product((0, 1), repeat=4))),
+    "triangle m<=2": (TRIANGLE, 2, list(product(range(3), range(-2, 3)))),
+}
+
+
+@lru_cache(maxsize=None)
+def scanned(name):
+    rows, m_max, window = SCANS[name]
+    return set(connected_kirchhoff_scan(build_row_system(rows), m_max, window))
+
+
+@pytest.mark.parametrize(
+    "name, sizes", [("decomposable m=1", (16, 36, 36)), ("triangle m<=2", (12, 17, 18))]
+)
+def test_census_lies_inside_the_connected_scan(name, sizes):
+    # The census, with and without the negative-sum prune, against a scan
+    # that never runs the search: (pruned, unpruned, scan) graph counts.
+    rows, m_max, _ = SCANS[name]
+    sys = build_row_system(rows)
+    pruned, _ = enumerate_kirchhoff(sys, SearchConfig(m_max=m_max))
+    free, _ = enumerate_kirchhoff(sys, SearchConfig(m_max=m_max, prune_negative_sum=False))
+    assert (len(pruned), len(free), len(scanned(name))) == sizes
+    assert set(keys(pruned)) <= scanned(name)
+    assert set(keys(free)) <= scanned(name)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_census_equals_the_connected_scan(name):
+    rows, m_max, _ = SCANS[name]
+    graphs, _ = enumerate_kirchhoff(build_row_system(rows), SearchConfig(m_max=m_max))
+    assert set(keys(graphs)) == scanned(name)
 
 
 def test_deterministic_across_runs_and_workers():

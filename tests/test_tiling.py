@@ -555,7 +555,7 @@ def test_span_search_keeps_its_order_on_shear():
 def test_span_search_on_the_cube_system_keeps_its_trees():
     # k = 3: the packed keys carry three coordinate digits.  The target
     # needs placements at offsets in all three coordinates, and removals.
-    # Status, nodes and placements recorded before the keys were packed.
+    # Status and placements recorded before the keys were packed.
     g = census(((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)), 1)
     assert len(g) == 6
     expected = [
@@ -564,7 +564,7 @@ def test_span_search_on_the_cube_system_keeps_its_trees():
     ]
     target = TilingExpression(tuple(Placement(g[i], off, s) for i, off, s in expected)).evaluate()
     res = span_contains(g, target)
-    assert res.status == "yes" and res.nodes == 403
+    assert res.status == "yes" and res.nodes == 415
     found = [(g.index(p.graph), p.offset, p.sign) for p in res.expression.placements]
     assert found == expected
     res = span_contains([g[0], g[1]], g[2])
@@ -595,8 +595,9 @@ def test_span_search_with_a_window_that_excludes_the_origin(monkeypatch):
 
 def test_fundamental_sets_span_calls_keep_their_trees(monkeypatch):
     # Every span_contains call of fundamental_sets on shear m=6 as
-    # (generators, target, status, search nodes, placements), recorded
-    # before the span search cached its option lists and shifted copies.
+    # (generators, target, status, search nodes, placements).  Statuses
+    # and placements were recorded before the span search cached its
+    # option lists and shifted copies.
     g = shear_graphs()
     calls = []
     span = tiling.span_contains
@@ -619,11 +620,11 @@ def test_fundamental_sets_span_calls_keep_their_trees(monkeypatch):
         ((1,), 0, no, 40, None),
         ((2,), 0, no, 32, None),
         ((3,), 0, no, 32, None),
-        ((0, 1), 2, no, 758, None),
-        ((0, 2), 1, no, 777, None),
-        ((0, 3), 1, no, 659, None),
-        ((1, 2), 0, no, 1619, None),
-        ((1, 3), 0, no, 1647, None),
+        ((0, 1), 2, no, 770, None),
+        ((0, 2), 1, no, 789, None),
+        ((0, 3), 1, no, 688, None),
+        ((1, 2), 0, no, 1650, None),
+        ((1, 3), 0, no, 1755, None),
         ((2, 3), 0, no, 884, None),
         ((0, 1, 2), 3, "yes", 40, [(0, (0, 0), 1), (0, (1, 1), 1), (2, (0, 0), -1)]),
         ((0, 1, 3), 2, "yes", 46, [(0, (0, 0), 1), (0, (1, 1), 1), (3, (0, 0), -1)]),
