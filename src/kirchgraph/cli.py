@@ -7,7 +7,9 @@ take integers >= 1.  Exit codes: 0 success, 1 a graph of the document
 failed its check (``verify``), 2 malformed input or an output path that
 cannot be written, 3 degenerate matrix, 4 node-limit truncation, 5 a
 tile expression that cannot be evaluated: a subtraction with no copy at
-its offset, or a sum or difference that is not Kirchhoff.
+its offset, or a sum or difference that is not Kirchhoff.  Exit 2 comes
+before any work: on an ``--out`` directory that is missing, an ``--ids``
+entry not in the document, a system echo that its ``R`` does not rebuild.
 """
 
 from __future__ import annotations
@@ -174,6 +176,8 @@ def cmd_enumerate(args) -> int:
     from kirchgraph.enumerator import SearchConfig
 
     system = _load_system(args.matrix)
+    if args.out and not Path(args.out).parent.is_dir():
+        raise CliError(f"cannot write {args.out}: its directory does not exist", EXIT_PARSE)
     config = SearchConfig(
         m_max=args.m_max,
         prune_negative_sum=not args.no_negative_sum_prune,
@@ -252,16 +256,14 @@ def cmd_render(args) -> int:
             "warning: k > 2, projecting onto the first two coordinates",
             file=sys.stderr,
         )
-    if args.ids is None:
-        selected = [e["id"] for e in doc["graphs"]]
-    else:
-        selected = [s for s in args.ids.split(",") if s]
     by_id = {entry["id"]: g for entry, g in zip(doc["graphs"], graphs)}
+    selected = list(by_id) if args.ids is None else [s for s in args.ids.split(",") if s]
+    unknown = [gid for gid in selected if gid not in by_id]
+    if unknown:
+        raise CliError(f"unknown graph id {unknown[0]}", EXIT_PARSE)
     outdir = Path(args.out_dir)
     _write(outdir)
     for gid in selected:
-        if gid not in by_id:
-            raise CliError(f"unknown graph id {gid}", EXIT_PARSE)
         graph = by_id[gid]
         if args.format == "dot":
             text = render_dot(graph, gid)
@@ -282,8 +284,7 @@ def cmd_fundamental(args) -> int:
 
     coeff_bound = DEFAULT_COEFF_BOUND if args.coeff_bound is None else args.coeff_bound
     system = _load_system(args.matrix)
-    config = SearchConfig(m_max=args.m_max, workers=args.workers)
-    graphs, _ = enumerate_kirchhoff(system, config)
+    graphs, _ = enumerate_kirchhoff(system, SearchConfig(m_max=args.m_max))
     if not graphs:
         print("no graphs to generate")
         return EXIT_OK
@@ -359,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fundamental", help="minimum generating subsets")
     add_matrix_opts(p)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--m-max", type=_positive_int, required=True)
     p.add_argument("--coeff-bound", type=_positive_int)
     p.set_defaults(func=cmd_fundamental)

@@ -70,7 +70,7 @@ def build_document(
         )
 
     prime_count = sum(1 for e in entries if e["prime"] == "prime") if primality else None
-    doc = {
+    return {
         "schema": SCHEMA,
         "system": {
             "n": system.n,
@@ -90,7 +90,6 @@ def build_document(
             "primes": prime_count,
         },
     }
-    return doc
 
 
 def _layout(items: list[str], indent: int, brackets: str = "[]") -> str:
@@ -174,15 +173,18 @@ def parse_document(text: str) -> tuple[RowSystem, list[VectorGraph], dict]:
     """Rebuild the system and graphs from document JSON.
 
     Returns (system, graphs keyed in document order, raw document dict).
-    Raises ValueError unless entry i has the id ``G<i>``.
+    Raises ValueError unless the echo is what ``build_document`` writes for
+    the system ``R`` rebuilds and entry i has the id ``G<i>``.
     """
     doc = json.loads(text)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
         raise ValueError(f"unsupported schema {schema!r}")
     system = build_row_system(doc["system"]["R"])
-    if [list(r) for r in system.N] != doc["system"]["N"]:
-        raise ValueError("stored null matrix disagrees with the row matrix")
+    # compared as JSON text, so true does not pass for 1
+    echo = json.dumps(build_document(system, [])["system"], sort_keys=True)
+    if json.dumps(doc["system"], sort_keys=True) != echo:
+        raise ValueError("stored system echo disagrees with the row matrix")
     cols = system.columns
     graphs = []
     for i, entry in enumerate(doc["graphs"]):

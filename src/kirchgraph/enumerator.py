@@ -415,22 +415,23 @@ def enumerate_kirchhoff(
     plus run statistics.  ``stats.complete`` is False when a node limit
     truncated the search, in which case the result may be missing graphs.
 
-    With ``workers`` > 1 a pool of that many processes takes the anchor
-    cuts one per task, in list order, whichever worker is free taking the
-    next, and this process merges the packed keys and the counters each
-    task returns.  Graphs, their order and every counter are the same for
-    every worker count.  A search with a node limit runs in this process
-    whatever ``workers`` says, so it truncates at the same node of the
-    serial order, and ``multiprocessing`` is imported only for a pool.
+    With ``workers`` > 1 a pool of that many processes, capped at the
+    number of anchor cuts, hands the cuts out one per task, in list order,
+    to whichever worker is free; this process merges the packed keys and
+    the counters each task returns.  Graphs, their order and every counter
+    are the same for every worker count.  A search with a node limit runs
+    in this process, so it truncates at the same node of the serial order,
+    and ``multiprocessing`` is imported only for a pool.
     """
     searcher = Search(sys, config)
     indices = range(len(searcher.anchor_cuts))
-    if config.workers == 1 or len(indices) <= 1 or config.node_limit is not None:
+    workers = min(config.workers, len(indices))
+    if workers <= 1 or config.node_limit is not None:
         searcher.run(indices)
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(config.workers, _start_worker, (sys, config)) as pool:
+        with multiprocessing.Pool(workers, _start_worker, (sys, config)) as pool:
             for found, stats in pool.imap_unordered(_search_anchor, indices, chunksize=1):
                 searcher.found |= found
                 searcher.stats.merge(stats)

@@ -102,6 +102,18 @@ def test_enumerate_zero_graphs_is_success(tmp_path, square_matrix, capsys):
     assert capsys.readouterr().out.startswith("0 graphs")
 
 
+def test_enumerate_without_negative_sum_prune(tmp_path, capsys):
+    # Without the prune the search recovers some of the graphs that its
+    # skipping discipline misses (see the enumerator's module docstring).
+    matrix = tmp_path / "triangle.txt"
+    matrix.write_text("1 0 1\n0 1 1\n")
+    argv = ["enumerate", "--matrix", str(matrix), "--m-max", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "12 graphs; 4 self-chiral; 3 chiral pairs\n"
+    assert main(argv + ["--no-negative-sum-prune"]) == 0
+    assert capsys.readouterr().out == "17 graphs; 5 self-chiral; 6 chiral pairs\n"
+
+
 def test_enumerate_node_limit_exit_code(tmp_path, square_matrix, capsys):
     code = main(
         [
@@ -234,6 +246,30 @@ def test_malformed_document_exits_2(tmp_path, square_doc, capsys, mangle):
     bad.write_text(json.dumps(doc))
     assert main(["verify", "--doc", str(bad)]) == 2
     assert "bad document:" in capsys.readouterr().err
+
+
+def _bool_r(system):
+    system["R"][0][2] = True  # equal to 1 in Python, not in JSON
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        pytest.param(lambda s: s.update(R=[[2 * x for x in r] for r in s["R"]]), id="doubled R"),
+        pytest.param(lambda s: s.update(R=[[str(x) for x in r] for r in s["R"]]), id="string R"),
+        pytest.param(_bool_r, id="bool R"),
+        pytest.param(lambda s: s.update(C=[[9, 9], [9, 9]], q=7, n=99), id="foreign C, q and n"),
+    ],
+)
+def test_system_echo_must_match_the_rebuilt_system(tmp_path, square_doc, capsys, mangle):
+    # R normalizes and accepts string and bool entries, so each of these
+    # rebuilds the square system; the echo must still be the one it writes.
+    doc = json.loads(square_doc.read_text())
+    mangle(doc["system"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--doc", str(bad)]) == 2
+    assert "bad document: stored system echo" in capsys.readouterr().err
 
 
 # -- verify ----------------------------------------------------------------------
@@ -411,6 +447,14 @@ def test_render_writes_nothing_outside_the_out_dir(square_doc, tmp_path, capsys)
     assert not (tmp_path / "escaped.svg").exists()
 
 
+def test_render_unknown_id_makes_no_out_dir(square_doc, tmp_path, capsys):
+    # every --ids entry is looked up before the out dir is made
+    outdir = tmp_path / "newdir"
+    assert main(["render", "--doc", str(square_doc), "--ids", "G9", "--out-dir", str(outdir)]) == 2
+    assert "unknown graph id G9" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_render_deterministic_bytes(square_doc, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -489,11 +533,13 @@ def test_min_multiplicity_none(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "none"
 
 
-def test_min_multiplicity_takes_no_workers(square_matrix):
-    # min-multiplicity searches serially; only enumerate and fundamental
-    # take --workers.
+@pytest.mark.parametrize("command", ["min-multiplicity", "fundamental"])
+def test_min_multiplicity_takes_no_workers(square_matrix, command):
+    # min-multiplicity and fundamental search in one process; only
+    # enumerate takes --workers.
+    bound = "--m-limit" if command == "min-multiplicity" else "--m-max"
     with pytest.raises(SystemExit) as err:
-        main(["min-multiplicity", "--matrix", str(square_matrix), "--m-limit", "2", "--workers", "2"])
+        main([command, "--matrix", str(square_matrix), bound, "2", "--workers", "2"])
     assert err.value.code == 2
 
 
@@ -538,6 +584,9 @@ def test_unwritable_output_path_exits_2(tmp_path, square_matrix, square_doc, cap
         "render": (["--doc", str(square_doc), "--out-dir", str(blocker)], blocker),
     }[command]
     assert main([command, *argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert f"error: cannot write {bad}: " in err
     assert "Traceback" not in err
+    if command == "enumerate":
+        # the directory is checked before the search, so no summary line
+        assert out == ""

@@ -69,6 +69,44 @@ def test_anchor_tasks_partition_the_search(rows, m_max, _):
     assert len(found) == len(graphs) == stats.graphs_found
 
 
+@pytest.mark.parametrize("rows, cuts", [(SQUARE, 4), (TRIANGLE, 6)], ids=["square", "triangle"])
+def test_pool_never_outnumbers_the_anchor_cuts(monkeypatch, rows, cuts):
+    # at m = 1 square has 4 anchor cuts and triangle 6, so 8 workers ask
+    # for a pool of 4 or 6 processes
+    import multiprocessing
+
+    from kirchgraph import enumerator
+
+    asked = []
+
+    class FakePool:
+        """Records the process count and runs the initializer and the
+        tasks in this process."""
+
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, tasks, chunksize=1):
+            return map(func, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(enumerator, "_worker", None)
+    system = build_row_system(rows)
+    assert len(Search(system, SearchConfig(m_max=1)).anchor_cuts) == cuts
+    serial, serial_stats = enumerate_kirchhoff(system, SearchConfig(m_max=1))
+    graphs, stats = enumerate_kirchhoff(system, SearchConfig(m_max=1, workers=8))
+    assert asked == [cuts]
+    assert [g.canonical_key() for g in graphs] == [g.canonical_key() for g in serial]
+    assert stats == serial_stats
+
+
 def test_sorted_packed_keys_unpack_in_tuple_key_order():
     system = build_row_system(TRIANGLE)
     search = Search(system, SearchConfig(m_max=4))
