@@ -8,8 +8,9 @@ failed its check (``verify``), 2 malformed input or an output path that
 cannot be written, 3 degenerate matrix, 4 node-limit truncation, 5 a
 tile expression that cannot be evaluated: a subtraction with no copy at
 its offset, or a sum or difference that is not Kirchhoff.  Exit 2 comes
-before any work: on an ``--out`` directory that is missing, an ``--ids``
-entry not in the document, a system echo that its ``R`` does not rebuild.
+before any work: on an ``enumerate`` or ``tile`` ``--out`` that is a
+directory or whose directory is missing, an ``--ids`` entry not in the
+document, a system echo that its ``R`` does not rebuild.
 """
 
 from __future__ import annotations
@@ -124,6 +125,19 @@ def _write(path: Path, text: str | None = None) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}", EXIT_PARSE) from exc
 
 
+def _out_file(path: str | None) -> Path | None:
+    """The ``--out`` file ``path``, if given, checked before any work: a
+    path that is a directory, or whose directory is missing, exits 2."""
+    if not path:
+        return None
+    out = Path(path)
+    if out.is_dir():
+        raise CliError(f"cannot write {out}: Is a directory", EXIT_PARSE)
+    if not out.parent.is_dir():
+        raise CliError(f"cannot write {out}: its directory does not exist", EXIT_PARSE)
+    return out
+
+
 TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*\s*)?(?P<ref>G\d+)"
     r"(?:@\(\s*(?P<off>-?\d+(?:\s*,\s*-?\d+)*)\s*\))?\s*"
@@ -176,8 +190,7 @@ def cmd_enumerate(args) -> int:
     from kirchgraph.enumerator import SearchConfig
 
     system = _load_system(args.matrix)
-    if args.out and not Path(args.out).parent.is_dir():
-        raise CliError(f"cannot write {args.out}: its directory does not exist", EXIT_PARSE)
+    out = _out_file(args.out)
     config = SearchConfig(
         m_max=args.m_max,
         prune_negative_sum=not args.no_negative_sum_prune,
@@ -198,8 +211,8 @@ def cmd_enumerate(args) -> int:
     if not stats.complete:
         line += " (INCOMPLETE: node limit hit)"
     print(line)
-    if args.out:
-        _write(Path(args.out), document_to_json(doc))
+    if out:
+        _write(out, document_to_json(doc))
     return EXIT_OK if stats.complete else EXIT_TRUNCATED
 
 
@@ -224,6 +237,7 @@ def cmd_tile(args) -> int:
     from kirchgraph.tiling import TilingError
 
     system, graphs, doc = _load_document(args.doc)
+    out = _out_file(args.out)
     graphs_by_id = {entry["id"]: g for entry, g in zip(doc["graphs"], graphs)}
     expr = parse_expression(args.expression, graphs_by_id, system.k)
     try:
@@ -241,8 +255,8 @@ def cmd_tile(args) -> int:
     if primality:
         line += f"; {primality[0]}"
     print(line)
-    if args.out:
-        _write(Path(args.out), document_to_json(out_doc))
+    if out:
+        _write(out, document_to_json(out_doc))
     return EXIT_OK
 
 

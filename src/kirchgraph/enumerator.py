@@ -75,10 +75,10 @@ from __future__ import annotations
 
 # kept for SearchConfig, which callers copy with dataclasses.replace, and the mutable SearchStats
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import and_, getitem
 
-from kirchgraph.exactalg import RowSystem, enumerate_bounded_cuts
+from kirchgraph.exactalg import RowSystem, _Filled, enumerate_bounded_cuts
 from kirchgraph.vgraph import KirchhoffVerdict, Radix, VectorGraph
 
 
@@ -129,17 +129,15 @@ class Search:
 
     Moving vertex v from cut ``cur`` to target t adds |t_i - cur_i| copies
     of vector i, so the targets within the multiplicity cap form a box:
-    |t_i - cur_i| <= m_max - counts[i] for every i.  ``_box[i][c][k]`` is
+    |t_i - cur_i| <= m_max - counts[i] for every i.  ``box[i][c][k]`` is
     the bitmask over ``lam`` (bit j for ``lam[j]``) of the cuts t with
     |t_i - c| <= m_max - k; ``_box_mask`` ANDs one entry per vector, so
     ``_visit`` hands ``_apply`` only the cuts inside the box, in list
     order, and ``_apply`` relies on that.
 
-    Three tables fill on first use, since a search meets few of the cuts
-    and vertices its bounds allow: per live cut its ``_box`` row, per
-    (cut, target) pair the steps of the move (``_steps``), and per vertex
-    (or difference of two) its coordinates, which the negative-sum prune
-    and ``unpack_key`` read.
+    The box rows of a cut, the steps of a move and a vertex's coordinates
+    are ``exactalg._Filled`` tables, since a search meets few of the cuts
+    and vertices its bounds allow.
     """
 
     def __init__(self, sys: RowSystem, config: SearchConfig):
@@ -151,10 +149,8 @@ class Search:
         # the boxes are proved in the module docstring
         L = n * m * max(abs(x) for col in sys.columns for x in col)
         self.vertex = Radix((-L,) * sys.k, (L,) * sys.k)
-        self.cut = Radix((-m,) * n, (m,) * n)
-        self._step = [self.vertex.pack(col) for col in sys.columns]
-        self._colsums = [sum(col) for col in sys.columns]
-        self._targets = [self.cut.pack(t) for t in self.lam]
+        self.cut = cut = Radix((-m,) * n, (m,) * n)
+        self._targets = [cut.pack(t) for t in self.lam]
         # The zero cut stays on the assignment list: assigning it to a
         # pending vertex adds the net edges that cancel the cut accumulated
         # there, which is how pass-through vertices (nonzero degree, zero
@@ -170,22 +166,43 @@ class Search:
         def by_value(entries):
             return entries[m:] + entries[:m]
 
-        self._box = []
+        box = []
         for i in range(n):
             at = dict.fromkeys(span, 0)  # the cuts with t_i == x
             for j, t in enumerate(self.lam):
                 at[t[i]] |= 1 << j
-            self._box.append(by_value([
+            box.append(by_value([
                 [sum(at[x] for x in span if abs(x - c) <= m - k) for k in range(m + 1)]
                 for c in span
             ]))
-        self._rows: dict[int, tuple] = {}
-        self._moves: dict[int, dict[int, tuple]] = {}
-        self._coords: dict[int, tuple] = {}
+        vsteps = [self.vertex.pack(col) for col in sys.columns]
+        colsums = [sum(col) for col in sys.columns]
+
+        def steps(cur: int, target: int) -> tuple:
+            """The steps that move a vertex's cut from ``cur`` to ``target``:
+            one (i, |d|, step, dsum, dcut, key) per vector i with
+            d = target_i - cur_i != 0.  The move adds |d| copies of vector
+            i between v and its neighbour w = v + step; w's coordinate sum
+            is v's plus dsum, w's cut loses dcut (the packed d e_i), and
+            the copies' edge key is v * n + key."""
+            out = []
+            for i, (c, t) in enumerate(zip(cut.unpack(cur), cut.unpack(target))):
+                d = t - c
+                if d > 0:  # copies leave v
+                    out.append((i, d, vsteps[i], colsums[i], d * cut.place[i], i))
+                elif d < 0:  # copies enter v, with their tail at w
+                    step = -vsteps[i]
+                    out.append((i, -d, step, -colsums[i], d * cut.place[i], step * n + i))
+            return tuple(out)
+
+        # the fills hold no reference to the search, so no cycle outlives it
+        self._rows = _Filled(lambda cur: tuple(map(getitem, box, cut.unpack(cur))))
+        self._moves = _Filled(lambda cur: _Filled(partial(steps, cur)))
+        self._coords = _Filled(self.vertex.unpack)
         self.stats = SearchStats()
         self.found: set[tuple] = set()  # packed canonical keys, see _emit
-        # mutable search state
-        self.cuts: dict[int, int] = {}
+        # mutable search state, which ``_undo`` restores after each anchor
+        self.cuts = {0: 0}  # the anchor: the origin, zero cut
         self.counts = [0] * n
         self._applied: list[tuple] = []
 
@@ -193,8 +210,6 @@ class Search:
         for li in anchor_indices:
             if not self.stats.complete:
                 break
-            self.cuts = {0: 0}  # the anchor: the origin, zero cut
-            self.counts = [0] * self.n
             child = self._apply(0, self.anchor_cuts[li], ())
             if child is None:
                 continue
@@ -249,28 +264,7 @@ class Search:
     def _box_mask(self, cur: int) -> int:
         """Bitmask over ``lam`` of the cuts a vertex with cut ``cur`` can
         move to without any per-vector count exceeding ``m_max``."""
-        row = self._rows.get(cur)
-        if row is None:
-            row = self._rows[cur] = tuple(map(getitem, self._box, self.cut.unpack(cur)))
-        return reduce(and_, map(getitem, row, self.counts))
-
-    def _steps(self, cur: int, target: int) -> tuple:
-        """The steps that move a vertex's cut from ``cur`` to ``target``:
-        one (i, |d|, step, dsum, dcut, key) per vector i with
-        d = target_i - cur_i != 0.  The move adds |d| copies of vector i
-        between v and its neighbour w = v + step; w's coordinate sum is
-        v's plus dsum, w's cut loses dcut (the packed d e_i), and the
-        copies' edge key is v * n + key."""
-        n = self.n
-        steps = []
-        for i, (c, t) in enumerate(zip(self.cut.unpack(cur), self.cut.unpack(target))):
-            d = t - c
-            if d > 0:  # copies leave v
-                steps.append((i, d, self._step[i], self._colsums[i], d * self.cut.place[i], i))
-            elif d < 0:  # copies enter v, with their tail at w
-                step = -self._step[i]
-                steps.append((i, -d, step, -self._colsums[i], d * self.cut.place[i], step * n + i))
-        return tuple(steps)
+        return reduce(and_, map(getitem, self._rows[cur], self.counts))
 
     def _apply(self, v: int, target: int, rest):
         """Add the net edges turning v's cut into ``target``; ``rest`` is
@@ -288,17 +282,9 @@ class Search:
         """
         cuts = self.cuts
         cur = cuts[v]
-        moves = self._moves.get(cur)
-        if moves is None:
-            moves = self._moves[cur] = {}
-        steps = moves.get(target)
-        if steps is None:
-            steps = moves[target] = self._steps(cur, target)
+        steps = self._moves[cur][target]
         if self.config.prune_negative_sum:
-            x = self._coords.get(v)
-            if x is None:
-                x = self._coords[v] = self.vertex.unpack(v)
-            total = sum(x)
+            total = sum(self._coords[v])
             for _, _, step, dsum, _, _ in steps:
                 if total + dsum < 0 and v + step not in cuts:
                     self.stats.prunes_negative_sum += 1
@@ -365,16 +351,8 @@ class Search:
     def unpack_key(self, packed: tuple) -> tuple:
         """The canonical key ``((tail, i), count), ...`` that ``_emit``
         stored packed."""
-        n = self.n
-        coords = self._coords
-        items = []
-        for code, c in packed:
-            tail, i = divmod(code, n)
-            x = coords.get(tail)
-            if x is None:
-                x = coords[tail] = self.vertex.unpack(tail)
-            items.append(((x, i), c))
-        return tuple(items)
+        n, coords = self.n, self._coords
+        return tuple(((coords[code // n], code % n), c) for code, c in packed)
 
 
 # -- the worker pool --------------------------------------------------------

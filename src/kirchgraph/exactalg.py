@@ -13,6 +13,7 @@ Everything here is exact: entries are Python ints or
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import lcm
 
@@ -92,6 +93,28 @@ def span_rank(vectors) -> int:
     return rref(vectors)[2]
 
 
+class _Filled(dict):
+    """A dict that fills a missing entry with ``fill(key)``; a hit is a
+    plain C-level lookup, and a fill that raises stores nothing."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _in_row_space(n: int, nt, x: tuple) -> bool:
+    """N^T x = 0, given the rows ``nt`` of N^T; x must have length n."""
+    if len(x) != n:
+        raise ValueError(f"expected length {n}, got {len(x)}")
+    return all(sum(c * xi for c, xi in zip(col, x)) == 0 for col in nt)
+
+
 class RowSystem:
     """An edge-vector set in normalized ``R = [q*I | C]`` form.
 
@@ -110,8 +133,7 @@ class RowSystem:
     def __init__(self, n: int, k: int, q: int, R, C, N):
         self.n, self.k, self.q, self.R, self.C, self.N = n, k, q, R, C, N
         self.columns = tuple(zip(*R))
-        self._nt = tuple(zip(*N))  # N^T, rows for the membership test
-        self._in_row = {}  # contains_in_row_space's answers
+        self._in_row = _Filled(partial(_in_row_space, n, tuple(zip(*N))))
 
     def contains_in_row_space(self, x) -> bool:
         """True iff x is a rational combination of the rows of R (N^T x = 0).
@@ -122,15 +144,7 @@ class RowSystem:
         ones again and again.  The memo lives as long as the system and
         holds one entry per distinct cut asked about.
         """
-        x = tuple(x)
-        known = self._in_row.get(x)
-        if known is None:
-            if len(x) != self.n:
-                raise ValueError(f"expected length {self.n}, got {len(x)}")
-            known = self._in_row[x] = all(
-                sum(c * xi for c, xi in zip(col, x)) == 0 for col in self._nt
-            )
-        return known
+        return self._in_row[tuple(x)]
 
     def contains_in_null_space(self, x) -> bool:
         """True iff R x = 0."""

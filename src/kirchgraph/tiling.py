@@ -31,7 +31,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import sub
 
-from kirchgraph.exactalg import build_row_system
+from kirchgraph.exactalg import _Filled, build_row_system
 from kirchgraph.vgraph import Coord, KirchhoffVerdict, Radix, VectorGraph, _check_point
 
 DEFAULT_COEFF_BOUND = 8
@@ -335,21 +335,6 @@ class SpanResult(namedtuple("SpanResult", "status expression nodes", defaults=(N
         return self.status == "yes"
 
 
-class _Filled(dict):
-    """A dict that fills a missing entry with ``fill(key)``; a hit is a
-    plain C-level lookup."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 def _default_window(target: VectorGraph, generators) -> tuple[Coord, Coord]:
     lo, hi = target.bounding_box()
     k = target.system.k
@@ -439,8 +424,8 @@ def span_contains(
     for gi, items in enumerate(gen_items):
         for (pt, pi), _ in items:
             tails_by_index.setdefault(pi, []).append((gi, pt))
-    # per generator: offset shift -> the placed copy's keys with counts
-    shifted: list[dict[int, list[tuple[int, int]]]] = [{} for _ in generators]
+    # (generator, offset shift) -> the placed copy's keys with counts
+    shifted = _Filled(lambda gs: [(pk + gs[1], pc) for pk, pc in gen_keys[gs[0]]])
 
     def alignments(key):
         """In-window placements (gi, offset, placed keys) of a generator
@@ -450,11 +435,7 @@ def span_contains(
         for gi, pt in tails_by_index.get(idx, ()):
             off = tuple(map(sub, tail, pt))
             if all(a <= x <= z for a, x, z in zip(lo, off, hi)):
-                shift = box.pack((*off, 0))
-                placed = shifted[gi].get(shift)
-                if placed is None:
-                    placed = shifted[gi][shift] = [(pk + shift, pc) for pk, pc in gen_keys[gi]]
-                found.append((gi, off, placed))
+                found.append((gi, off, shifted[gi, box.pack((*off, 0))]))
         return found
 
     aligned = _Filled(alignments)
@@ -530,6 +511,7 @@ def span_contains(
     # bulk of it, now.
     tables.clear()
     aligned.clear()
+    shifted.clear()
     if solution is None:
         return SpanResult("no_within_bounds", nodes=nodes)
     adds = [p for p in solution if p[2] > 0]

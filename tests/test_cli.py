@@ -570,23 +570,23 @@ def test_numeric_flags_below_one_exit_2(square_matrix, capsys, command, flag, va
 # -- output paths --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", ["enumerate", "tile", "render"])
-def test_unwritable_output_path_exits_2(tmp_path, square_matrix, square_doc, capsys, command):
-    # enumerate and tile write into a directory that does not exist;
-    # render's out dir is an existing file.
+@pytest.mark.parametrize("case", ["enumerate", "tile", "render", "enumerate onto a directory"])
+def test_unwritable_output_path_exits_2(tmp_path, square_matrix, square_doc, capsys, case):
+    # enumerate and tile write into a directory that does not exist, or
+    # onto one that exists; render's out dir is an existing file.
     missing = tmp_path / "missing" / "x.json"
     blocker = tmp_path / "blocker"
     blocker.write_text("")
+    enumerate_argv = ["enumerate", "--matrix", str(square_matrix), "--m-max", "2", "--out"]
     argv, bad = {
-        "enumerate": (["--matrix", str(square_matrix), "--m-max", "2", "--out", str(missing)],
-                      missing),
-        "tile": (["--doc", str(square_doc), "1*G0", "--out", str(missing)], missing),
-        "render": (["--doc", str(square_doc), "--out-dir", str(blocker)], blocker),
-    }[command]
-    assert main([command, *argv]) == 2
+        "enumerate": (enumerate_argv, missing),
+        "enumerate onto a directory": (enumerate_argv, tmp_path),
+        "tile": (["tile", "--doc", str(square_doc), "1*G0", "--out"], missing),
+        "render": (["render", "--doc", str(square_doc), "--out-dir"], blocker),
+    }[case]
+    assert main([*argv, str(bad)]) == 2
     out, err = capsys.readouterr()
     assert f"error: cannot write {bad}: " in err
     assert "Traceback" not in err
-    if command == "enumerate":
-        # the directory is checked before the search, so no summary line
-        assert out == ""
+    # every path is checked before any work, so no summary or result line
+    assert out == ""

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from functools import lru_cache
 from itertools import product
 from operator import sub
@@ -96,10 +98,7 @@ def test_vertex_packing_at_the_corners_of_the_box(rows, m_max):
 
 
 def fresh_search(sys, m_max=2, **options):
-    s = Search(sys, SearchConfig(m_max=m_max, **options))
-    s.cuts = {0: 0}  # the anchor at the origin, zero cut
-    s.counts = [0] * sys.n
-    return s
+    return Search(sys, SearchConfig(m_max=m_max, **options))
 
 
 def apply(s, v, target, rest=()):
@@ -153,6 +152,26 @@ def test_undo_restores_state():
     assert edges_of(s) == {}
     assert s.counts == [0, 0, 0, 0]
     assert cuts_of(s) == {(0, 0): (0, 0, 0, 0)}
+
+
+def test_search_and_system_die_with_their_last_reference():
+    # The lazily filled tables close over codecs and tables, not over the
+    # Search or the RowSystem that owns them, so no reference cycle keeps
+    # either alive until a cyclic collection.
+    gc.disable()
+    try:
+        sys = square_system()
+        assert sys.contains_in_row_space([0, 0, 0, 0])
+        search = Search(sys, SearchConfig(m_max=2))
+        search.run(range(len(search.anchor_cuts)))
+        assert search.found
+        # every anchor's search is undone back to the bare anchor
+        assert (search.cuts, search.counts) == ({0: 0}, [0] * sys.n)
+        refs = weakref.ref(search), weakref.ref(sys)
+        del search, sys
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=60, deadline=None)

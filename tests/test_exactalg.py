@@ -12,6 +12,7 @@ from kirchgraph.exactalg import (
     RankDeficient,
     RowSystemError,
     ZeroRowInC,
+    _Filled,
     build_row_system,
     enumerate_bounded_cuts,
     rref,
@@ -206,10 +207,26 @@ def test_null_space_membership_examples():
 
 def test_membership_length_mismatch():
     sys = square_system()
-    with pytest.raises(ValueError):
-        sys.contains_in_row_space([1, 0])
+    for _ in range(2):
+        # a fill that raises stores nothing, so the cut raises again
+        with pytest.raises(ValueError):
+            sys.contains_in_row_space([1, 0])
+    assert sys.contains_in_row_space([1, 1, 1, 0])
     with pytest.raises(ValueError):
         sys.contains_in_null_space([1, 0])
+
+
+def test_filled_calls_its_fill_once_per_key():
+    calls = []
+
+    def fill(key):
+        calls.append(key)
+        return key * 2
+
+    table = _Filled(fill)
+    assert [table[k] for k in (1, 2, 1, 2, 3)] == [2, 4, 2, 4, 6]
+    assert calls == [1, 2, 3]
+    assert table == {1: 2, 2: 4, 3: 6}
 
 
 def test_membership_agrees_with_direct_solve():
