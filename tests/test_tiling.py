@@ -1,6 +1,7 @@
 import pickle
 import random
 from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import kirchgraph.tiling as tiling
 from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
-from kirchgraph.exactalg import build_row_system
+from kirchgraph.exactalg import build_row_system, span_rank
 from kirchgraph.tiling import (
     FamilyConstructionError,
     KirchhoffViolation,
@@ -69,6 +70,8 @@ def census(rows, m_max):
 
 SQUARE = ((2, 0, 1, 1), (0, 2, 1, -1))
 TRIANGLE = ((1, 0, 1), (0, 1, 1))
+SHEAR = ((1, 0, 2, 1), (0, 1, 1, 2))
+CUBE = ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1))
 DECOMPOSABLE = ((1, 0, 0, 0, 1, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 0, 1))
 
 
@@ -556,7 +559,7 @@ def test_span_search_on_the_cube_system_keeps_its_trees():
     # k = 3: the packed keys carry three coordinate digits.  The target
     # needs placements at offsets in all three coordinates, and removals.
     # Status and placements recorded before the keys were packed.
-    g = census(((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)), 1)
+    g = census(CUBE, 1)
     assert len(g) == 6
     expected = [
         (4, (0, 0, 0), 1), (4, (0, 0, 1), 1), (4, (1, 0, 1), 1), (4, (1, 1, 1), 1),
@@ -614,18 +617,15 @@ def test_fundamental_sets_span_calls_keep_their_trees(monkeypatch):
 
     monkeypatch.setattr(tiling, "span_contains", recording)
     assert fundamental_sets(g) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    # The character test rules out six more calls, all no_within_bounds:
+    # (0,)->1, (1,)->0, (2,)->0, (3,)->0, (0, 1)->2 and (2, 3)->0, which
+    # spent 24, 40, 32, 32, 770 and 884 nodes.
     no = "no_within_bounds"
     assert calls == [
-        ((0,), 1, no, 24, None),
-        ((1,), 0, no, 40, None),
-        ((2,), 0, no, 32, None),
-        ((3,), 0, no, 32, None),
-        ((0, 1), 2, no, 770, None),
         ((0, 2), 1, no, 789, None),
         ((0, 3), 1, no, 688, None),
         ((1, 2), 0, no, 1650, None),
         ((1, 3), 0, no, 1755, None),
-        ((2, 3), 0, no, 884, None),
         ((0, 1, 2), 3, "yes", 40, [(0, (0, 0), 1), (0, (1, 1), 1), (2, (0, 0), -1)]),
         ((0, 1, 3), 2, "yes", 46, [(0, (0, 0), 1), (0, (1, 1), 1), (3, (0, 0), -1)]),
         ((0, 2, 3), 1, "yes", 44, [(2, (0, 0), 1), (3, (1, -1), 1), (0, (1, 0), -1)]),
@@ -692,6 +692,105 @@ def test_singleton_generates_itself():
 def test_square_pair_is_the_fundamental_set():
     f1, f2 = square_pair()
     assert fundamental_sets([f1, f2]) == [(0, 1)]
+
+
+def chi(s, offset):
+    """(-1)^(s.offset)."""
+    return -1 if sum(a * b for a, b in zip(s, offset)) % 2 else 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(SQUARE, 2), (TRIANGLE, 2), (CUBE, 1)]), st.data())
+def test_characters_flip_under_translation_and_add_over_placements(census_args, data):
+    # Phi_s of a placed copy is (-1)^(s.o) times Phi_s of the copy at the
+    # origin, and Phi_s of an expression is the signed sum over its
+    # placed copies.  Removals take copies embedded in the running graph,
+    # not only the copies placed, so the expression is a real difference.
+    g = census(*census_args)
+    k = g[0].system.k
+    offsets = st.tuples(*[st.integers(-3, 3)] * k)
+    adds = data.draw(st.lists(st.tuples(st.sampled_from(range(len(g))), offsets), min_size=1, max_size=4))
+    placements = [Placement(g[i], off, 1) for i, off in adds]
+    host = TilingExpression(tuple(placements)).evaluate()
+    for i in data.draw(st.lists(st.sampled_from(range(len(g))), max_size=3)):
+        found = find_embeddings(host, g[i])
+        if not found:
+            continue
+        off = data.draw(st.sampled_from(found))
+        try:
+            host = subtract(host, g[i], off)
+        except KirchhoffViolation:
+            continue
+        placements.append(Placement(g[i], off, -1))
+    result = TilingExpression(tuple(placements)).evaluate()
+    assert result.edge_items() == host.edge_items()
+
+    def placed(graph, off):
+        return tiling._characters(TilingExpression((Placement(graph, off, 1),)).evaluate())
+
+    origin = (0,) * k
+    total = [[0] * g[0].system.n for _ in range(2 ** k)]
+    for p in placements:
+        at_origin, at_offset = placed(p.graph, origin), placed(p.graph, p.offset)
+        for si, s in enumerate(product((0, 1), repeat=k)):
+            assert at_offset[si] == tuple(chi(s, p.offset) * x for x in at_origin[si])
+            total[si] = [a + p.sign * b for a, b in zip(total[si], at_offset[si])]
+    assert tiling._characters(result) == [tuple(t) for t in total]
+
+
+@pytest.mark.parametrize(
+    "rows, m_max, ruled_out",
+    [(SHEAR, 6, 14), (SQUARE, 2, 2), (TRIANGLE, 2, 770), (CUBE, 1, 138)],
+    ids=["shear m<=6", "square m<=2", "triangle m<=2", "cube m<=1"],
+)
+def test_character_test_never_rules_out_a_span_answer(rows, m_max, ruled_out):
+    # A "yes" from span_contains implies the character test of
+    # fundamental_sets passes; checked as the contrapositive over every
+    # subset of at most three graphs and every target outside it.  The
+    # integer echelon agrees with the Fraction rank of exactalg.
+    g = census(rows, m_max)
+    chars = [tiling._characters(x) for x in g]
+    failed = 0
+    for size in (1, 2, 3):
+        for subset in combinations(range(len(g)), size):
+            phis = list(zip(*(chars[i] for i in subset)))
+            bases = [tiling._echelon(p) for p in phis]
+            for j in set(range(len(g))) - set(subset):
+                passes = tiling._spanned(bases, chars[j])
+                assert passes == all(span_rank([*p, phi]) == span_rank(p) for p, phi in zip(phis, chars[j]))
+                if not passes:
+                    failed += 1
+                    assert not span_contains([g[i] for i in subset], g[j]).contained
+    assert failed == ruled_out
+
+
+@pytest.mark.parametrize(
+    "rows, m_max, expected, calls, nodes",
+    [
+        (CUBE, 1, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 3, 4), (0, 1, 4, 5), (0, 2, 3, 4),
+                   (0, 2, 3, 5), (0, 3, 4, 5), (1, 2, 3, 5), (1, 2, 4, 5), (1, 3, 4, 5), (2, 3, 4, 5)],
+         27, 664),
+        (TRIANGLE, 2, [(4, 7)], 10, 68),
+        (TRIANGLE, 3, [], 4, 58),
+        (SQUARE, 4, [], 12, 151),
+    ],
+    ids=["cube m<=1", "triangle m<=2", "triangle m<=3", "square m<=4"],
+)
+def test_fundamental_sets_skip_the_searches_characters_rule_out(monkeypatch, rows, m_max, expected, calls, nodes):
+    # The same sets as without the character test, which spent 71 calls
+    # and 5,124 nodes on cube m <= 1, 12 and 105 on triangle m <= 2, 6
+    # and 92 on triangle m <= 3, and 13 and 187 on square m <= 4.
+    spent = []
+    span = tiling.span_contains
+
+    def recording(*args):
+        res = span(*args)
+        spent.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(tiling, "span_contains", recording)
+    assert fundamental_sets(census(rows, m_max)) == expected
+    assert (len(spent), sum(spent)) == (calls, nodes)
 
 
 # -- value records ------------------------------------------------------------
