@@ -424,18 +424,16 @@ def enumerate_kirchhoff(
     return graphs, stats
 
 
-def min_multiplicity(sys: RowSystem, m_limit: int, node_limit: int | None = None) -> int | None:
+def min_multiplicity(sys: RowSystem, m_limit: int) -> int | None:
     """Smallest m <= m_limit with a nonempty enumeration, or None.  Each
-    m's search, in this process and capped at ``node_limit`` nodes, stops
-    at the first anchor cut that yields a graph."""
+    m's search, in this process, stops at the first anchor cut that
+    yields a graph."""
     if m_limit < 1:
         raise ValueError("m_limit must be >= 1")
     for m in range(1, m_limit + 1):
-        searcher = Search(sys, SearchConfig(m_max=m, node_limit=node_limit))
+        searcher = Search(sys, SearchConfig(m_max=m))
         for i in range(len(searcher.anchor_cuts)):
             searcher.run([i])
             if searcher.found:
                 return m
-            if not searcher.stats.complete:
-                raise RuntimeError("search truncated before reaching a conclusion")
     return None

@@ -6,8 +6,8 @@ vectors, and the null matrix ``N = [C / -q*I_{n-k}]`` whose columns span
 the null space of ``R``.  Vertex cuts of a Kirchhoff graph must lie in
 the row space of ``R``; cycle vectors must lie in its null space.
 
-Everything here is exact: entries are Python ints or
-:class:`fractions.Fraction`, never floats.
+Everything here is exact: one integer echelon, ``_echelon``, does all
+elimination, and ``Fraction``s appear only at input and in ``rref``'s rows.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 
 class RowSystemError(ValueError):
@@ -39,58 +39,71 @@ class ZeroRowInC(RowSystemError):
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise TypeError(f"matrix entries must be int, Fraction or str, got {type(x)!r}")
 
 
-def _rows(matrix) -> list[list[Fraction]]:
-    """``matrix`` as a nonempty rectangular list of Fraction rows."""
+def _rows(matrix) -> list[list[int]]:
+    """``matrix`` as a nonempty rectangular list of integer rows, each
+    row scaled by the positive lcm of its denominators; that keeps the
+    row space, the RREF and which columns are parallel."""
     rows = [[_frac(x) for x in row] for row in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("ragged rows")
-    return rows
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    return [[x.numerator * (d // x.denominator) for x in row] for d, row in zip(scales, rows)]
+
+
+def _reduce(basis, v) -> list[int]:
+    """``v`` reduced against ``basis``, an ``_echelon``; all zero iff v
+    lies in the rational span of the basis.  Integer steps only: each
+    one scales v by a nonzero pivot and subtracts a multiple of a row,
+    then divides out the gcd."""
+    for p, row in basis:
+        if v[p]:
+            a, b = row[p], v[p]
+            v = [a * x - b * y for x, y in zip(v, row)]
+            d = gcd(*v)
+            if d > 1:
+                v = [x // d for x in v]
+    return v
+
+
+def _echelon(vectors) -> list[tuple[int, list[int]]]:
+    """An integer echelon basis of the rational span of the integer
+    ``vectors``: rows (pivot, row), the pivot the row's first nonzero
+    column, each row zero at the pivots of the rows before it, so
+    ``_reduce`` may take the rows in order."""
+    basis = []
+    for v in vectors:
+        v = _reduce(basis, v)
+        if any(v):
+            basis.append((next(j for j, x in enumerate(v) if x), v))
+    return basis
 
 
 def rref(M) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...], int]:
     """Reduced row echelon form over the rationals of the nonempty
     matrix ``M``, given as rows: ``(reduced_rows, pivot_columns, rank)``,
-    where ``reduced_rows`` is the unique RREF of ``M``."""
-    work = _rows(M)
-    nrows, ncols = len(work), len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(map(tuple, work)), tuple(pivots), len(pivots)
+    where ``reduced_rows`` is the unique RREF of ``M``.  The rows after
+    an ``_echelon`` row are zero at its pivot and left of their own, so
+    reducing it against them clears every other pivot column and keeps
+    its pivot first; only then is each row divided by its pivot."""
+    rows = _rows(M)
+    basis = _echelon(rows)
+    basis = sorted((p, _reduce(basis[i + 1:], row)) for i, (p, row) in enumerate(basis))
+    reduced = [tuple(Fraction(x, row[p]) for x in row) for p, row in basis]
+    reduced += [(Fraction(0),) * len(rows[0])] * (len(rows) - len(basis))
+    return tuple(reduced), tuple(p for p, _ in basis), len(basis)
 
 
 def span_rank(vectors) -> int:
-    """Rank of the rational span of integer (or rational) vectors."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    return rref(vectors)[2]
+    """Rank of the rational span of integer vectors."""
+    return len(_echelon(vectors))
 
 
 class _Filled(dict):
@@ -108,11 +121,11 @@ class _Filled(dict):
         return value
 
 
-def _in_row_space(n: int, nt, x: tuple) -> bool:
-    """N^T x = 0, given the rows ``nt`` of N^T; x must have length n."""
+def _orthogonal(n: int, rows, x) -> bool:
+    """True iff x is orthogonal to each of ``rows``; x must have length n."""
     if len(x) != n:
         raise ValueError(f"expected length {n}, got {len(x)}")
-    return all(sum(c * xi for c, xi in zip(col, x)) == 0 for col in nt)
+    return all(sum(r * xi for r, xi in zip(row, x)) == 0 for row in rows)
 
 
 class RowSystem:
@@ -133,7 +146,7 @@ class RowSystem:
     def __init__(self, n: int, k: int, q: int, R, C, N):
         self.n, self.k, self.q, self.R, self.C, self.N = n, k, q, R, C, N
         self.columns = tuple(zip(*R))
-        self._in_row = _Filled(partial(_in_row_space, n, tuple(zip(*N))))
+        self._in_row = _Filled(partial(_orthogonal, n, tuple(zip(*N))))
 
     def contains_in_row_space(self, x) -> bool:
         """True iff x is a rational combination of the rows of R (N^T x = 0).
@@ -148,9 +161,7 @@ class RowSystem:
 
     def contains_in_null_space(self, x) -> bool:
         """True iff R x = 0."""
-        if len(x) != self.n:
-            raise ValueError(f"expected length {self.n}, got {len(x)}")
-        return all(sum(r * xi for r, xi in zip(row, x)) == 0 for row in self.R)
+        return _orthogonal(self.n, self.R, x)
 
 
 def build_row_system(edge_matrix) -> RowSystem:
@@ -184,8 +195,8 @@ def build_row_system(edge_matrix) -> RowSystem:
         raise RankDeficient("first k columns are not a basis of the column space")
 
     cprime = [[reduced[i][k + j] for j in range(n - k)] for i in range(k)]
-    q = lcm(*(x.denominator for row in cprime for x in row)) if n > k else 1
-    C = tuple(tuple(int(x * q) for x in row) for row in cprime)
+    q = lcm(*(x.denominator for row in cprime for x in row))
+    C = tuple(tuple(x.numerator * (q // x.denominator) for x in row) for row in cprime)
     for i, row in enumerate(C):
         if all(x == 0 for x in row):
             raise ZeroRowInC(f"row {i} of C is zero")

@@ -40,10 +40,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
 from operator import sub
 
-from kirchgraph.exactalg import _Filled, build_row_system
+from kirchgraph.exactalg import _Filled, _echelon, _reduce, build_row_system
 from kirchgraph.vgraph import Coord, KirchhoffVerdict, Radix, VectorGraph, _check_point
 
 DEFAULT_COEFF_BOUND = 8
@@ -312,6 +311,8 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
         found = search(0)
     except _BudgetExhausted:
         return PrimalityVerdict("unknown", nodes=nodes)
+    finally:
+        del search  # it refers to itself; break the cycle
     if not found:
         return PrimalityVerdict("prime", nodes=nodes)
     # the search returned from the witness leaf, so ``assigned`` holds it
@@ -518,12 +519,7 @@ def span_contains(
         solution = search(budget, [])
         if solution is not None:
             break
-    # ``search`` refers to itself, so these closures form a reference cycle
-    # that lives until the next cyclic collection; free the tables, the
-    # bulk of it, now.
-    tables.clear()
-    aligned.clear()
-    shifted.clear()
+    del search  # it refers to itself; break the cycle
     if solution is None:
         return SpanResult("no_within_bounds", nodes=nodes)
     adds = [p for p in solution if p[2] > 0]
@@ -604,33 +600,6 @@ def _characters(graph: VectorGraph) -> list[tuple[int, ...]]:
             phi[i] += -c if sum(a * b for a, b in zip(s, t)) % 2 else c
         chars.append(tuple(phi))
     return chars
-
-
-def _reduce(basis, v) -> list[int]:
-    """``v`` reduced against ``basis``, an ``_echelon``; all zero iff v
-    lies in the rational span of the basis.  Integer steps only: each
-    one scales v by a nonzero pivot and subtracts a multiple of a row,
-    then divides out the gcd."""
-    for p, row in basis:
-        if v[p]:
-            a, b = row[p], v[p]
-            v = [a * x - b * y for x, y in zip(v, row)]
-            d = gcd(*v)
-            if d > 1:
-                v = [x // d for x in v]
-    return v
-
-
-def _echelon(vectors) -> list[tuple[int, list[int]]]:
-    """An integer echelon basis of the rational span of ``vectors``: rows
-    (pivot, row), each row zero at the pivots of the rows before it, so
-    ``_reduce`` may take the rows in order."""
-    basis = []
-    for v in vectors:
-        v = _reduce(basis, v)
-        if any(v):
-            basis.append((next(j for j, x in enumerate(v) if x), v))
-    return basis
 
 
 def _spanned(bases, vectors) -> bool:

@@ -1,9 +1,10 @@
 """Independent brute-force oracles shared by the unit and acceptance suites.
 
-Each oracle deliberately avoids the code path it checks: cut enumeration
-scans the full integer box, graph enumeration scans all edge multisets in
-a lattice window (connected uniform graphs: one tail multiset per
-vector), primality scans every bipartition of the edge
+Each oracle deliberately avoids the code path it checks: row reduction
+is Gauss-Jordan in Fractions rather than the integer echelon; cut
+enumeration scans the full integer box, graph enumeration scans all edge
+multisets in a lattice window (connected uniform graphs: one tail
+multiset per vector), primality scans every bipartition of the edge
 multiset, translation keys recompute every endpoint from the edge
 multiset, and cycle vectors are read off closed walks through a spanning
 forest built from those recomputed endpoints.
@@ -11,19 +12,45 @@ forest built from those recomputed endpoints.
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
-from kirchgraph.exactalg import rref
 from kirchgraph.vgraph import VectorGraph
 
 
-def solve_membership(rows, x):
-    """Row-space membership via a direct rational solve."""
-    from fractions import Fraction
+def fraction_rref(M):
+    """``(reduced_rows, pivot_columns, rank)`` of the nonempty matrix
+    ``M``, given as rows of ints or Fractions, by Gauss-Jordan
+    elimination in Fractions: the reference for ``exactalg.rref``."""
+    work = [[Fraction(x) for x in row] for row in M]
+    nrows, ncols = len(work), len(work[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][c] != 0:
+                factor = work[i][c]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(map(tuple, work)), tuple(pivots), len(pivots)
 
+
+def solve_membership(rows, x):
+    """Row-space membership via a direct rational solve:
+    ``fraction_rref([rows^T | x])`` is consistent iff the augmented
+    column is not a pivot."""
     k, n = len(rows), len(rows[0])
-    aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(x[j])] for j in range(n)]
-    _, pivots, _ = rref(aug)
+    aug = [[rows[i][j] for i in range(k)] + [x[j]] for j in range(n)]
+    _, pivots, _ = fraction_rref(aug)
     return k not in pivots
 
 

@@ -478,11 +478,6 @@ def test_min_multiplicity_stops_at_the_first_graph(monkeypatch, rows, m_star, no
     assert sum(s.stats.nodes_expanded for s in searches) == nodes
 
 
-def test_min_multiplicity_refuses_truncated_evidence():
-    with pytest.raises(RuntimeError, match="truncated"):
-        min_multiplicity(square_system(), 2, node_limit=2)
-
-
 def test_square_census_matches_flow_oracle():
     # Independent completeness witness: place the diagonal-vector copies,
     # solve the axis flows they force, keep the Kirchhoff results.

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +17,7 @@ from kirchgraph.exactalg import (
     rref,
     span_rank,
 )
+from oracles import brute_force_cuts, fraction_rref, solve_membership
 
 
 def square_system():
@@ -27,28 +27,6 @@ def square_system():
 
 def triangle_system():
     return build_row_system([[1, 0, 1], [0, 1, 1]])
-
-
-# -- independent oracles ------------------------------------------------
-
-
-def solve_membership(rows, x):
-    """Row-space membership by direct rational solve: rref([rows^T | x])."""
-    k = len(rows)
-    n = len(rows[0])
-    aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(x[j])] for j in range(n)]
-    _, pivots, _ = rref(aug)
-    return k not in pivots  # consistent iff the augmented column is not a pivot
-
-
-def brute_force_cuts(sys, bound):
-    """Scan the full integer box and keep row-space members."""
-    hits = [
-        v
-        for v in product(range(-bound, bound + 1), repeat=sys.n)
-        if solve_membership(sys.R, v)
-    ]
-    return sorted(hits)
 
 
 # -- rref ---------------------------------------------------------------
@@ -84,6 +62,34 @@ def test_rref_matches_hand_elimination():
     assert m == ((1, 0, -1), (0, 1, 2), (0, 0, 0))
     assert pivots == (0, 1)
     assert rank == 2
+
+
+rationals = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 7), st.data())
+def test_rref_and_span_rank_match_fraction_elimination(nrows, ncols, data):
+    # Appended combinations of drawn rows (a zero row among them when
+    # a = b = 0) make rank-deficient cases.
+    row = st.lists(rationals, min_size=ncols, max_size=ncols)
+    M = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+    for a, b in data.draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=2)):
+        M.append([a * x + b * y for x, y in zip(M[0], M[-1])])
+    zero_column = data.draw(st.none() | st.integers(0, ncols - 1))
+    if zero_column is not None:
+        for r in M:
+            r[zero_column] = 0
+    expected = fraction_rref(M)
+    reduced = rref(M)
+    assert reduced == expected
+    assert all(type(x) is Fraction for r in reduced[0] for x in r)
+    # 60 clears every denominator up to 6
+    assert span_rank([[int(x * 60) for x in r] for r in M]) == expected[2]
 
 
 # -- build_row_system ---------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import pickle
 import random
 from functools import lru_cache
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import kirchgraph.tiling as tiling
 from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
-from kirchgraph.exactalg import build_row_system, span_rank
+from kirchgraph.exactalg import build_row_system
 from kirchgraph.tiling import (
     FamilyConstructionError,
     KirchhoffViolation,
@@ -29,7 +30,7 @@ from kirchgraph.tiling import (
 )
 from kirchgraph.vgraph import KirchhoffVerdict, Multiplicity, VectorGraph
 
-from oracles import brute_force_is_prime
+from oracles import brute_force_is_prime, fraction_rref
 
 
 def square_system():
@@ -555,6 +556,30 @@ def test_span_search_keeps_its_order_on_shear():
     assert res.nodes == 884
 
 
+def test_tiling_searches_leave_no_cyclic_garbage():
+    # span_contains and is_prime recurse through a closure that refers to
+    # itself; each breaks that cycle before it returns, so a call leaves
+    # nothing for the cyclic collector, whatever its answer.
+    g = shear_graphs()
+    f1, _ = square_pair()
+    grid = grid_of_four(f1)
+    calls = [
+        (lambda: span_contains([g[1], g[2], g[3]], g[0]), "yes"),
+        (lambda: span_contains([g[2], g[3]], g[0]), "no_within_bounds"),
+        (lambda: is_prime(f1), "prime"),
+        (lambda: is_prime(grid), "composite"),
+        (lambda: is_prime(grid, budget=5), "unknown"),
+    ]
+    gc.disable()
+    try:
+        for call, status in calls:
+            gc.collect()
+            assert call().status == status
+            assert gc.collect() == 0, status
+    finally:
+        gc.enable()
+
+
 def test_span_search_on_the_cube_system_keeps_its_trees():
     # k = 3: the packed keys carry three coordinate digits.  The target
     # needs placements at offsets in all three coordinates, and removals.
@@ -747,7 +772,10 @@ def test_character_test_never_rules_out_a_span_answer(rows, m_max, ruled_out):
     # A "yes" from span_contains implies the character test of
     # fundamental_sets passes; checked as the contrapositive over every
     # subset of at most three graphs and every target outside it.  The
-    # integer echelon agrees with the Fraction rank of exactalg.
+    # integer echelon agrees with the rank of the Fraction reference.
+    def rank(vectors):
+        return fraction_rref(vectors)[2]
+
     g = census(rows, m_max)
     chars = [tiling._characters(x) for x in g]
     failed = 0
@@ -757,7 +785,7 @@ def test_character_test_never_rules_out_a_span_answer(rows, m_max, ruled_out):
             bases = [tiling._echelon(p) for p in phis]
             for j in set(range(len(g))) - set(subset):
                 passes = tiling._spanned(bases, chars[j])
-                assert passes == all(span_rank([*p, phi]) == span_rank(p) for p, phi in zip(phis, chars[j]))
+                assert passes == all(rank([*p, phi]) == rank(p) for p, phi in zip(phis, chars[j]))
                 if not passes:
                     failed += 1
                     assert not span_contains([g[i] for i in subset], g[j]).contained
