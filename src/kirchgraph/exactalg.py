@@ -102,8 +102,11 @@ def rref(M) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...], int]:
 
 
 def span_rank(vectors) -> int:
-    """Rank of the rational span of integer vectors."""
-    return len(_echelon(vectors))
+    """Rank of the rational span of ``vectors``, whose entries are int,
+    Fraction or str; each vector is scaled to integers as ``rref``
+    scales its rows, and ragged vectors raise ValueError."""
+    vectors = list(vectors)
+    return len(_echelon(_rows(vectors))) if vectors else 0
 
 
 class _Filled(dict):

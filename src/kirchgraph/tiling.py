@@ -30,9 +30,9 @@ search, the character test.  For s in {0,1}^k, Phi_s(G) sums
 placement at offset o multiplies Phi_s by (-1)^(s.o), so each Phi_s of
 anything the generators tile lies in the rational span of theirs.  A
 target outside that span for some s is not tiled by any expression, so
-skipping its search cannot change an answer.  The test does not bound
-the search: the decomposable k = 4 system at m = 1 still gives no
-answer in minutes.
+skipping its search cannot change an answer.  The same ranks give a
+floor on the size of a generating set.  Neither bounds the search: the
+decomposable k = 4 system at m = 1 still gives no answer in minutes.
 """
 
 from __future__ import annotations
@@ -338,7 +338,7 @@ class SpanResult(namedtuple("SpanResult", "status expression nodes", defaults=(N
     status      "yes" or "no_within_bounds"
     expression  for "yes", a TilingExpression equal to the target up to
                 translation; else None
-    nodes       search nodes spent, over every deepening round
+    nodes       search nodes spent, over the deepening rounds run
     """
 
     __slots__ = ()
@@ -360,6 +360,30 @@ def _default_window(target: VectorGraph, generators) -> tuple[Coord, Coord]:
         tuple(lo[d] - dilate[d] for d in range(k)),
         tuple(hi[d] + dilate[d] for d in range(k)),
     )
+
+
+def _placement_totals(counts, target, bound: int) -> list[int]:
+    """The placement totals b in [1, ``bound``] that edge counts allow,
+    ascending.  b is one when copies k_g >= 0 of the generators, whose
+    count vectors are ``counts``, with one sign s_g each, have
+    sum k_g = b and sum s_g * k_g * counts[g] = ``target``.  A DP over
+    the generators on the reachable (net count vector, total) pairs.
+    Each count vector enters at most twice: two generators that share
+    one already reach any p added and q removed copies of it (one takes
+    the added copies, the other the removed), so a third adds nothing."""
+    counts = sorted(counts)
+    counts = [c for i, c in enumerate(counts) if i < 2 or c != counts[i - 2]]
+    reach = {((0,) * len(target), 0)}
+    for c in counts:
+        # (+-k * c, k) for k = 1, 2, ...; each move's negation is a move
+        # too, so net - move ranges over the same sums as net + move
+        moves = [(tuple(sk * x for x in c), k) for k in range(1, bound + 1) for sk in (k, -k)]
+        step = set(reach)
+        for net, total in reach:
+            for move, k in moves[: 2 * (bound - total)]:
+                step.add((tuple(map(sub, net, move)), total + k))
+        reach = step
+    return sorted(b for net, b in reach if b and net == target)
 
 
 def span_contains(
@@ -388,6 +412,22 @@ def span_contains(
     add-then-subtract sequence: postponing subtractions only enlarges the
     intermediate multisets their embeddings are checked against.
 
+    The search deepens iteratively, fewest placements first, over only
+    the totals that edge counts allow (``_placement_totals``): each copy
+    of generator g adds or removes exactly g's count vector c(g), so an
+    expression with k_g copies of each g, of sign s_g, has
+    sum k_g placements and sum s_g * k_g * c(g) = c(target).  A skipped
+    round would have failed.  Let b be the least budget at which a round
+    succeeds.  A round succeeds if its tree holds a solution of at most
+    its budget placements: the options at a node do not depend on the
+    budget, and the gap prune never cuts the path to such a solution,
+    since a placement lowers the gap by at most the largest generator
+    size.  So the solution found at b has exactly b placements, else a
+    lower round would have succeeded, and b is an allowed total.  The
+    first round run that succeeds is therefore round b, with the same
+    placements.  On shear m <= 6 every graph has c = (6, 6, 6, 6), so
+    only odd totals are tried.
+
     Inside the search an edge key is one integer.  Every key it can meet
     has its tail in one coordinate box: the target's tails and the
     generators' tails shifted by the offsets of the window.  The key
@@ -411,6 +451,11 @@ def span_contains(
         raise ValueError("coeff_bound must be >= 1")
     if target.is_empty:
         return SpanResult("yes", TilingExpression(()))
+    budgets = _placement_totals(
+        [g.multiplicity().counts for g in generators], target.multiplicity().counts, coeff_bound
+    )
+    if not budgets:
+        return SpanResult("no_within_bounds")
 
     target = target.canonical()
     lo, hi = _default_window(target, generators)
@@ -513,9 +558,9 @@ def span_contains(
             committed[gi] = prev
         return None
 
-    # iterative deepening: minimal placement count first
+    # iterative deepening over the allowed totals, fewest first
     solution = None
-    for budget in range(1, coeff_bound + 1):
+    for budget in budgets:
         solution = search(budget, [])
         if solution is not None:
             break
@@ -627,9 +672,12 @@ def fundamental_sets(graphs, coeff_bound: int = DEFAULT_COEFF_BOUND) -> list[tup
     search.  The test is necessary, not sufficient, so it cannot change
     an answer; it only skips searches that would answer
     no_within_bounds.  Each subset's Phi_s are echeloned once, in
-    integers, and each target is reduced against them.  It does not
-    make every census tractable: the decomposable k = 4 system at m = 1
-    still gives no answer in minutes.
+    integers, and each target is reduced against them.  The same test
+    bounds the size: a covering subset's Phi_s span every graph's, so
+    sizes below the largest rank over s of all the graphs' Phi_s are
+    skipped, and a tier smaller than that rank gives [] at once.  It
+    does not make every census tractable: the decomposable k = 4 system
+    at m = 1 still gives no answer in minutes.
     """
     graphs = list(graphs)
     if not graphs:
@@ -649,7 +697,10 @@ def fundamental_sets(graphs, coeff_bound: int = DEFAULT_COEFF_BOUND) -> list[tup
             for i in range(len(graphs))
         )
 
-    for size in range(1, len(tier) + 1):
+    # a covering subset's Phi_s span those of every graph, so it has at
+    # least as many members as the largest of their ranks
+    floor = max(1, *(len(_echelon(phis)) for phis in zip(*chars)))
+    for size in range(floor, len(tier) + 1):
         hits = [combo for combo in combinations(tier, size) if covers(combo)]
         if hits:
             return hits

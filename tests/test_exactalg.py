@@ -90,6 +90,7 @@ def test_rref_and_span_rank_match_fraction_elimination(nrows, ncols, data):
     assert all(type(x) is Fraction for r in reduced[0] for x in r)
     # 60 clears every denominator up to 6
     assert span_rank([[int(x * 60) for x in r] for r in M]) == expected[2]
+    assert span_rank(M) == expected[2]
 
 
 # -- build_row_system ---------------------------------------------------
@@ -254,6 +255,20 @@ def test_span_rank_cases():
     ncols = [tuple(row[j] for row in sys.N) for j in range(sys.n - sys.k)]
     assert span_rank(ncols) == 2
     assert span_rank([(3, -1, 2), (6, -2, 4)]) == 1
+
+
+def test_span_rank_scales_rational_vectors_as_rref_does():
+    # Every vector is scaled to integers, the first as well as the rest,
+    # so Fraction entries give the rank of their rational span.
+    assert span_rank([(Fraction(1, 2), 1)]) == 1
+    assert span_rank([(Fraction(1, 2), 1), (1, 2)]) == 1
+    assert span_rank([(Fraction(1, 2), 1), (Fraction(1, 3), Fraction(2, 3))]) == 1
+    assert span_rank([(Fraction(1, 2), 1), ("1/3", 1)]) == 2
+    assert span_rank(iter([(1, 0), (0, 1)])) == 2
+    with pytest.raises(TypeError):
+        span_rank([(0.5, 1), (1, 2)])
+    with pytest.raises(ValueError, match="ragged"):
+        span_rank([(1, 2), (1, 2, 3)])
 
 
 # -- enumerate_bounded_cuts ---------------------------------------------

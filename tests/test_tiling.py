@@ -550,10 +550,70 @@ def test_span_search_keeps_its_order_on_shear():
     found = [(next(i for i, h in enumerate(g) if h is p.graph), p.offset, p.sign)
              for p in res.expression.placements]
     assert found == [(3, (0, -1), 1), (2, (-1, 0), 1), (1, (-1, 0), -1)]
-    assert res.nodes == 113
+    assert res.nodes == 74
     res = span_contains([g[2], g[3]], g[0])
     assert res.status == "no_within_bounds" and res.expression is None
-    assert res.nodes == 884
+    assert res.nodes == 350
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=4),
+        st.tuples(*[st.integers(-4, 6)] * n),
+        st.integers(1, 4),
+    ))
+)
+def test_placement_totals_match_brute_force(case):
+    # b is allowed when k_g >= 0 copies of each generator, one sign s_g
+    # each, make b placements whose count vectors sum to the target's.
+    # Small entries make generators that share a count vector common.
+    counts, target, bound = case
+    found = set()
+    for ks in product(range(bound + 1), repeat=len(counts)):
+        if not 0 < sum(ks) <= bound:
+            continue
+        for signs in product((1, -1), repeat=len(counts)):
+            net = tuple(sum(s * k * c[i] for s, k, c in zip(signs, ks, counts)) for i in range(len(target)))
+            if net == target:
+                found.add(sum(ks))
+    assert tiling._placement_totals(counts, target, bound) == sorted(found)
+
+
+def test_span_returns_at_once_when_no_placement_total_fits():
+    # A one-copy triangle graph is no signed sum of two-copy graphs, and
+    # three one-copy placements exceed a bound of 2: no round is searched.
+    g = census(TRIANGLE, 2)
+    ones = [x for x in g if x.multiplicity().m == 1]
+    twos = [x for x in g if x.multiplicity().m == 2]
+    assert span_contains(twos, ones[0]) == SpanResult("no_within_bounds", None, 0)
+    stacked = add(add(ones[0], ones[0], (0, 0)), ones[0], (0, 0))
+    assert span_contains(ones, stacked, coeff_bound=2) == SpanResult("no_within_bounds", None, 0)
+    assert span_contains(ones, stacked, coeff_bound=3).contained
+
+
+@pytest.mark.parametrize(
+    "rows, m_max", [(SHEAR, 6), (CUBE, 1), (TRIANGLE, 3), (SQUARE, 4)],
+    ids=["shear m<=6", "cube m<=1", "triangle m<=3", "square m<=4"],
+)
+def test_allowed_totals_give_the_answers_of_every_budget(monkeypatch, rows, m_max):
+    # Searching only the placement totals that edge counts allow returns
+    # the status and placements of deepening through every budget, for
+    # each subset of the minimal tier and each target outside it.
+    g = census(rows, m_max)
+    tier = [x for x in g if x.multiplicity().m == min(y.multiplicity().m for y in g)]
+    pairs = [
+        (list(subset), target)
+        for size in range(1, len(tier) + 1)
+        for subset in combinations(tier, size)
+        for target in g
+        if target not in subset
+    ]
+    allowed = [span_contains(gens, target) for gens, target in pairs]
+    monkeypatch.setattr(tiling, "_placement_totals", lambda counts, target, bound: range(1, bound + 1))
+    every = [span_contains(gens, target) for gens, target in pairs]
+    assert [(r.status, r.expression) for r in allowed] == [(r.status, r.expression) for r in every]
+    assert all(a.nodes <= e.nodes for a, e in zip(allowed, every))
 
 
 def test_tiling_searches_leave_no_cyclic_garbage():
@@ -592,11 +652,11 @@ def test_span_search_on_the_cube_system_keeps_its_trees():
     ]
     target = TilingExpression(tuple(Placement(g[i], off, s) for i, off, s in expected)).evaluate()
     res = span_contains(g, target)
-    assert res.status == "yes" and res.nodes == 415
+    assert res.status == "yes" and res.nodes == 238
     found = [(g.index(p.graph), p.offset, p.sign) for p in res.expression.placements]
     assert found == expected
     res = span_contains([g[0], g[1]], g[2])
-    assert res.status == "no_within_bounds" and res.nodes == 49
+    assert res.status == "no_within_bounds" and res.nodes == 23
 
 
 def test_span_search_with_a_window_that_excludes_the_origin(monkeypatch):
@@ -612,11 +672,11 @@ def test_span_search_with_a_window_that_excludes_the_origin(monkeypatch):
         return span_contains(gens, target, 8)
 
     res = search([g[1], g[2], g[3]], g[0], ((1, 1), (5, 5)))
-    assert res.status == "no_within_bounds" and res.nodes == 8
+    assert res.status == "no_within_bounds" and res.nodes == 4
     res = search([g[0], g[2], g[3]], g[1], ((-4, 1), (6, 6)))
-    assert res.status == "no_within_bounds" and res.nodes == 8
+    assert res.status == "no_within_bounds" and res.nodes == 4
     res = search([g[0], g[1], g[2]], g[3], ((-4, 1), (6, 6)))
-    assert res.status == "yes" and res.nodes == 11
+    assert res.status == "yes" and res.nodes == 7
     found = [(g.index(p.graph), p.offset, p.sign) for p in res.expression.placements]
     assert found == [(1, (-1, 1), 1), (0, (0, 1), 1), (2, (-1, 1), -1)]
 
@@ -644,17 +704,19 @@ def test_fundamental_sets_span_calls_keep_their_trees(monkeypatch):
     assert fundamental_sets(g) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     # The character test rules out six more calls, all no_within_bounds:
     # (0,)->1, (1,)->0, (2,)->0, (3,)->0, (0, 1)->2 and (2, 3)->0, which
-    # spent 24, 40, 32, 32, 770 and 884 nodes.
+    # spent 24, 40, 32, 32, 770 and 884 nodes when every budget was
+    # searched.  Every graph has 6 copies of each vector, so only odd
+    # placement totals are searched.
     no = "no_within_bounds"
     assert calls == [
-        ((0, 2), 1, no, 789, None),
-        ((0, 3), 1, no, 688, None),
-        ((1, 2), 0, no, 1650, None),
-        ((1, 3), 0, no, 1755, None),
-        ((0, 1, 2), 3, "yes", 40, [(0, (0, 0), 1), (0, (1, 1), 1), (2, (0, 0), -1)]),
-        ((0, 1, 3), 2, "yes", 46, [(0, (0, 0), 1), (0, (1, 1), 1), (3, (0, 0), -1)]),
-        ((0, 2, 3), 1, "yes", 44, [(2, (0, 0), 1), (3, (1, -1), 1), (0, (1, 0), -1)]),
-        ((1, 2, 3), 0, "yes", 113, [(3, (0, -1), 1), (2, (-1, 0), 1), (1, (-1, 0), -1)]),
+        ((0, 2), 1, no, 305, None),
+        ((0, 3), 1, no, 261, None),
+        ((1, 2), 0, no, 592, None),
+        ((1, 3), 0, no, 648, None),
+        ((0, 1, 2), 3, "yes", 18, [(0, (0, 0), 1), (0, (1, 1), 1), (2, (0, 0), -1)]),
+        ((0, 1, 3), 2, "yes", 18, [(0, (0, 0), 1), (0, (1, 1), 1), (3, (0, 0), -1)]),
+        ((0, 2, 3), 1, "yes", 30, [(2, (0, 0), 1), (3, (1, -1), 1), (0, (1, 0), -1)]),
+        ((1, 2, 3), 0, "yes", 74, [(3, (0, -1), 1), (2, (-1, 0), 1), (1, (-1, 0), -1)]),
     ]
 
 
@@ -717,6 +779,29 @@ def test_singleton_generates_itself():
 def test_square_pair_is_the_fundamental_set():
     f1, f2 = square_pair()
     assert fundamental_sets([f1, f2]) == [(0, 1)]
+
+
+def test_fundamental_sets_start_at_the_rank_of_the_characters(monkeypatch):
+    # A covering subset's Phi_s span every graph's, so no subset smaller
+    # than their rank is tried: on shear m <= 6 the rank is 2, and the
+    # 3-sets are found at the second size tried.  A one-graph tier under
+    # a rank of 2 gives no answer without trying a subset.
+    sizes = []
+    real = tiling.combinations
+
+    def recording(pool, size):
+        sizes.append(size)
+        return real(pool, size)
+
+    monkeypatch.setattr(tiling, "combinations", recording)
+    assert fundamental_sets(shear_graphs()) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert sizes == [2, 3]
+    g = census(TRIANGLE, 3)
+    one, three = next(x for x in g if x.multiplicity().m == 1), g[0]
+    assert three.multiplicity().m == 3
+    sizes.clear()
+    assert fundamental_sets([one, three]) == []
+    assert sizes == []
 
 
 def chi(s, offset):
@@ -797,17 +882,19 @@ def test_character_test_never_rules_out_a_span_answer(rows, m_max, ruled_out):
     [
         (CUBE, 1, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 3, 4), (0, 1, 4, 5), (0, 2, 3, 4),
                    (0, 2, 3, 5), (0, 3, 4, 5), (1, 2, 3, 5), (1, 2, 4, 5), (1, 3, 4, 5), (2, 3, 4, 5)],
-         27, 664),
-        (TRIANGLE, 2, [(4, 7)], 10, 68),
-        (TRIANGLE, 3, [], 4, 58),
-        (SQUARE, 4, [], 12, 151),
+         27, 418),
+        (TRIANGLE, 2, [(4, 7)], 10, 50),
+        (TRIANGLE, 3, [], 4, 33),
+        (SQUARE, 4, [], 10, 87),
     ],
     ids=["cube m<=1", "triangle m<=2", "triangle m<=3", "square m<=4"],
 )
 def test_fundamental_sets_skip_the_searches_characters_rule_out(monkeypatch, rows, m_max, expected, calls, nodes):
     # The same sets as without the character test, which spent 71 calls
     # and 5,124 nodes on cube m <= 1, 12 and 105 on triangle m <= 2, 6
-    # and 92 on triangle m <= 3, and 13 and 187 on square m <= 4.
+    # and 92 on triangle m <= 3, and 13 and 187 on square m <= 4, when
+    # every budget and every subset size was searched.  On square m <= 4
+    # the size floor also skips the calls of one-graph subsets.
     spent = []
     span = tiling.span_contains
 
