@@ -22,7 +22,10 @@ exceed ``m_max``, and (on by default) no vertex may be created at
 coordinates with negative sum.  Every graph has a translate anchored at
 a minimum-coordinate-sum vertex, so the second prune is sound whenever
 the search can realize that particular anchoring; it is a config toggle
-so tests can probe that empirically.
+so tests can probe that empirically.  The anchor's sum is 0 and the
+prune keeps every vertex's sum >= 0, so a step to a negative sum always
+makes a new vertex: the targets the prune rules out depend only on the
+moving vertex's cut and sum, and ``Search`` drops them as one bitmask.
 
 Scope and completeness:
 
@@ -125,7 +128,10 @@ class Search:
     ``_undo`` takes the last one back, ``_visit`` drives the recursion and
     ``run`` iterates anchor cuts (``anchor_cuts``, packed).  Useful
     directly when a test wants to poke one assignment at a time;
-    ``enumerate_kirchhoff`` is the high-level entry point.
+    ``enumerate_kirchhoff`` is the high-level entry point.  A node is
+    counted by its parent, with its prunes, right after the move that
+    makes it; the parent emits a leaf in place and calls ``_visit`` only
+    for a node with a target left to try.
 
     Moving vertex v from cut ``cur`` to target t adds |t_i - cur_i| copies
     of vector i, so the targets within the multiplicity cap form a box:
@@ -133,11 +139,13 @@ class Search:
     the bitmask over ``lam`` (bit j for ``lam[j]``) of the cuts t with
     |t_i - c| <= m_max - k; ``_box_mask`` ANDs one entry per vector, so
     ``_visit`` hands ``_apply`` only the cuts inside the box, in list
-    order, and ``_apply`` relies on that.
+    order, and ``_apply`` relies on that.  ``_negative[cur, total]`` masks
+    the targets whose move steps from a vertex of cut ``cur`` and sum
+    ``total`` to a negative sum; they leave the box too.
 
-    The box rows of a cut, the steps of a move and a vertex's coordinates
-    are ``exactalg._Filled`` tables, since a search meets few of the cuts
-    and vertices its bounds allow.
+    The box rows of a cut, the negative-sum targets, the steps of a move
+    and a vertex's coordinates and sum are ``exactalg._Filled`` tables,
+    since a search meets few of the cuts and vertices its bounds allow.
     """
 
     def __init__(self, sys: RowSystem, config: SearchConfig):
@@ -167,6 +175,7 @@ class Search:
             return entries[m:] + entries[:m]
 
         box = []
+        sides = []  # per vector: (the cuts with t_i < c, those with t_i > c)
         for i in range(n):
             at = dict.fromkeys(span, 0)  # the cuts with t_i == x
             for j, t in enumerate(self.lam):
@@ -175,30 +184,48 @@ class Search:
                 [sum(at[x] for x in span if abs(x - c) <= m - k) for k in range(m + 1)]
                 for c in span
             ]))
+            sides.append(by_value([
+                (sum(at[x] for x in span if x < c), sum(at[x] for x in span if x > c))
+                for c in span
+            ]))
         vsteps = [self.vertex.pack(col) for col in sys.columns]
         colsums = [sum(col) for col in sys.columns]
+        # only a vertex of sum below max|column sum| can step to a negative
+        # sum; with the prune off, no vertex sum is below -kL
+        self._low_sum = max(map(abs, colsums)) if config.prune_negative_sum else -sys.k * L
 
         def steps(cur: int, target: int) -> tuple:
             """The steps that move a vertex's cut from ``cur`` to ``target``:
-            one (i, |d|, step, dsum, dcut, key) per vector i with
+            one (i, |d|, step, dcut) per vector i with
             d = target_i - cur_i != 0.  The move adds |d| copies of vector
-            i between v and its neighbour w = v + step; w's coordinate sum
-            is v's plus dsum, w's cut loses dcut (the packed d e_i), and
-            the copies' edge key is v * n + key."""
+            i between v and its neighbour w = v + step, leaving v if d > 0
+            and entering it if d < 0, and w's cut loses dcut (the packed
+            d e_i, of the sign of d)."""
             out = []
             for i, (c, t) in enumerate(zip(cut.unpack(cur), cut.unpack(target))):
                 d = t - c
                 if d > 0:  # copies leave v
-                    out.append((i, d, vsteps[i], colsums[i], d * cut.place[i], i))
+                    out.append((i, d, vsteps[i], d * cut.place[i]))
                 elif d < 0:  # copies enter v, with their tail at w
-                    step = -vsteps[i]
-                    out.append((i, -d, step, -colsums[i], d * cut.place[i], step * n + i))
+                    out.append((i, -d, -vsteps[i], d * cut.place[i]))
             return tuple(out)
+
+        def negative(key) -> int:
+            cur, total = key
+            mask = 0
+            for (below, above), colsum in zip(map(getitem, sides, cut.unpack(cur)), colsums):
+                if total + colsum < 0:  # targets with t_i > c step along +column i
+                    mask |= above
+                if total - colsum < 0:
+                    mask |= below
+            return mask
 
         # the fills hold no reference to the search, so no cycle outlives it
         self._rows = _Filled(lambda cur: tuple(map(getitem, box, cut.unpack(cur))))
+        self._negative = _Filled(negative)
         self._moves = _Filled(lambda cur: _Filled(partial(steps, cur)))
-        self._coords = _Filled(self.vertex.unpack)
+        self._coords = coords = _Filled(self.vertex.unpack)
+        self._sums = _Filled(lambda v: sum(coords[v]))
         self.stats = SearchStats()
         self.found: set[tuple] = set()  # packed canonical keys, see _emit
         # mutable search state, which ``_undo`` restores after each anchor
@@ -207,14 +234,17 @@ class Search:
         self._applied: list[tuple] = []
 
     def run(self, anchor_indices) -> None:
+        # the root (the anchor at zero cut and sum) has all of lam in its box
+        targets = self._targets
+        pruned = self._negative[0, 0] if 0 < self._low_sum else 0
         for li in anchor_indices:
             if not self.stats.complete:
                 break
-            child = self._apply(0, self.anchor_cuts[li], ())
-            if child is None:
-                continue
-            self._visit(child)
-            self._undo()
+            bit = 1 << targets.index(self.anchor_cuts[li])
+            if bit & pruned:
+                self.stats.prunes_negative_sum += 1
+            else:
+                self._visit(0, (), bit, (1 << len(targets)) - 1, 0)
 
     @property
     def edges(self) -> dict[int, int]:
@@ -222,43 +252,52 @@ class Search:
         n = self.n
         edges: dict[int, int] = {}
         for v, _, steps, _ in self._applied:
-            base = v * n
-            for _, ad, _, _, _, key in steps:
-                key += base
+            for i, ad, step, dcut in steps:
+                key = (v if dcut > 0 else v + step) * n + i
                 edges[key] = edges.get(key, 0) + ad
         return edges
 
     # -- search core --------------------------------------------------
 
-    def _visit(self, todo) -> None:
+    def _visit(self, v: int, rest, mask: int, box: int, pruned: int) -> None:
+        """Move the front vertex v, to-do list ``rest`` after it, to each
+        target of ``mask`` in list order; count, emit or expand each child.
+        ``box`` is v's ``_box_mask`` and ``pruned`` the part of it that the
+        negative-sum prune removed; the caller counted both."""
         stats = self.stats
-        stats.nodes_expanded += 1
         limit = self.config.node_limit
-        if limit is not None and stats.nodes_expanded > limit:
-            stats.complete = False
-            return
-        if not todo:
-            self._emit()
-            return
-        v = todo[0]
-        rest = todo[1:]
         targets = self._targets
-        mask = self._box_mask(self.cuts[v])
-        # A live cut is not in lam, so every cut outside the box is a move
-        # that would break the multiplicity cap.
-        stats.prunes_multiplicity += len(targets) - mask.bit_count()
+        size = len(targets)
+        cuts = self.cuts
+        sums = self._sums
+        low_sum = self._low_sum
         while mask:
             low = mask & -mask
             mask ^= low
             j = low.bit_length() - 1
             child = self._apply(v, targets[j], rest)
-            if child is None:
-                continue
-            self._visit(child)
+            stats.nodes_expanded += 1
+            if limit is not None and stats.nodes_expanded > limit:
+                stats.complete = False
+            elif not child:
+                self._emit()
+            else:
+                w = child[0]
+                cur = cuts[w]
+                cbox = self._box_mask(cur)
+                total = sums[w]
+                cpruned = cbox & self._negative[cur, total] if total < low_sum else 0
+                # A live cut is not in lam, so every cut outside the box is
+                # a move that would break the multiplicity cap.
+                stats.prunes_multiplicity += size - cbox.bit_count()
+                stats.prunes_negative_sum += cpruned.bit_count()
+                if cbox != cpruned:
+                    self._visit(w, child[1:], cbox ^ cpruned, cbox, cpruned)
             self._undo()
             if not stats.complete:
                 # a truncated search never tries the cuts after lam[j]
-                stats.prunes_multiplicity -= len(targets) - 1 - j - mask.bit_count()
+                stats.prunes_multiplicity -= size - 1 - j - (box >> j + 1).bit_count()
+                stats.prunes_negative_sum -= (pruned >> j + 1).bit_count()
                 return
 
     def _box_mask(self, cur: int) -> int:
@@ -266,45 +305,38 @@ class Search:
         move to without any per-vector count exceeding ``m_max``."""
         return reduce(and_, map(getitem, self._rows[cur], self.counts))
 
-    def _apply(self, v: int, target: int, rest):
+    def _apply(self, v: int, target: int, rest) -> list:
         """Add the net edges turning v's cut into ``target``; ``rest`` is
         the rest of v's to-do list.
 
         ``target`` must differ from v's cut and keep every count within
         ``m_max``: ``_visit`` takes it from v's ``_box_mask``, which lacks
-        v's live cut (not in ``lam``), and ``run`` moves an anchor at zero
-        counts and cut to a nonzero cut of ``lam`` (entries <= m_max).
+        v's live cut (not in ``lam``), and ``run`` has the anchor, at zero
+        counts and cut, take a nonzero cut of ``lam`` (entries <= m_max).
 
         Returns the child to-do list: ``rest`` less the vertices this move
         satisfied, then the ones it made live, so a to-do list holds only
-        live vertices.  Returns None when the assignment would create a
-        negative-sum vertex.  An assignment made is kept for ``_undo``.
+        live vertices.  The move is kept for ``_undo``.
         """
         cuts = self.cuts
         cur = cuts[v]
         steps = self._moves[cur][target]
-        if self.config.prune_negative_sum:
-            total = sum(self._coords[v])
-            for _, _, step, dsum, _, _ in steps:
-                if total + dsum < 0 and v + step not in cuts:
-                    self.stats.prunes_negative_sum += 1
-                    return None
-
         rowset = self.rowset
         counts = self.counts
-        olds = []
+        made = []
         appended = []
         done = []
         # The edge vectors are pairwise non-parallel, so the neighbours are
         # distinct and none is v: each is touched once, a new vertex is in
         # neither ``rest`` nor ``appended``, and ``_undo`` may restore them
         # in any order.
-        for i, ad, step, _, dcut, _ in steps:
+        for i, ad, step, dcut in steps:
             w = v + step
             counts[i] += ad
             old = cuts.get(w)
             if old is None:
                 cuts[w] = new = -dcut
+                made.append(w)
                 if new not in rowset:
                     appended.append(w)
             else:
@@ -313,24 +345,22 @@ class Search:
                     done.append(w)
                 elif w not in rest:
                     appended.append(w)
-            olds.append(old)
         cuts[v] = target
-        self._applied.append((v, cur, steps, olds))
+        self._applied.append((v, cur, steps, made))
         if done:
             rest = [w for w in rest if w not in done]
         return [*rest, *appended]
 
     def _undo(self) -> None:
         """Take back the last assignment ``_apply`` made."""
-        v, cur, steps, olds = self._applied.pop()
+        v, cur, steps, made = self._applied.pop()
         counts = self.counts
         cuts = self.cuts
-        for (i, ad, step, _, _, _), old in zip(steps, olds):
+        for i, ad, step, dcut in steps:
             counts[i] -= ad
-            if old is None:
-                del cuts[v + step]
-            else:
-                cuts[v + step] = old
+            cuts[v + step] += dcut
+        for w in made:
+            del cuts[w]
         cuts[v] = cur
 
     # -- candidate handling -------------------------------------------

