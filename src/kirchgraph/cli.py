@@ -82,10 +82,19 @@ def parse_matrix_text(text: str):
     return rows
 
 
+RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _rational(tok: str):
+    """An integer or ``p/q`` token as a Fraction.  Other forms that
+    ``Fraction`` reads (``1e3``, ``0.5``, ``1_0``) are refused before it
+    runs: an exponent such as ``1e999999999`` would take it unbounded
+    time."""
     from fractions import Fraction
 
     try:
+        if not RATIONAL_RE.fullmatch(tok):
+            raise ValueError
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {tok!r}") from exc
@@ -107,20 +116,29 @@ def _load_system(path: str):
 
 
 def _load_document(path: str):
+    # RecursionError: JSON nested deeper than the interpreter's stack
     try:
         return parse_document(Path(path).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(f"bad document: {exc}", EXIT_PARSE) from exc
+
+
+_SLICE = 1 << 16
 
 
 def _write(path: Path, text: str | None = None) -> None:
     """Write ``text`` to the file ``path``, or make the directory ``path``
-    when ``text`` is None; a path that cannot be written exits 2."""
+    when ``text`` is None; a path that cannot be written exits 2.  The
+    text goes out in 64 KiB slices through the text-mode ``open`` that
+    ``Path.write_text`` uses, so the file gets the same bytes but the
+    whole text is never encoded into a second copy."""
     try:
         if text is None:
             path.mkdir(parents=True, exist_ok=True)
         else:
-            path.write_text(text)
+            with path.open("w") as out:
+                for start in range(0, len(text), _SLICE):
+                    out.write(text[start:start + _SLICE])
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}", EXIT_PARSE) from exc
 

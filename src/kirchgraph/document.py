@@ -106,7 +106,12 @@ def _object(fields: tuple[str, ...], indent: int, leaf: str = "%s") -> str:
     return _layout([f'"{name}": {leaf}' for name in fields], indent, "{}")
 
 
-_DOC = _object(("schema", "system", "m_max", "complete", "graphs", "summary"), 0)
+# the document template, cut where the graph array goes
+_GRAPHS = '"graphs": '
+_HEAD, _TAIL = (
+    _object(("schema", "system", "m_max", "complete", "graphs", "summary"), 0) + "\n"
+).split(_GRAPHS + "%s")
+_HEAD += _GRAPHS
 _SYSTEM = _object(("n", "k", "q", "R", "C", "N"), 2)
 _SUMMARY_FIELDS = ("total", "self_chiral", "chiral_pairs", "primes")
 _SUMMARY = _object(_SUMMARY_FIELDS, 2)
@@ -128,27 +133,16 @@ def document_to_json(doc: dict) -> str:
     ``doc`` has the shape ``build_document`` gives (and ``parse_document``
     returns).  Each object of that shape is a fixed template whose leaves
     ``json.dumps`` (the C encoder, for scalars) or ``%d`` write, so no
-    value passes through ``json``'s pure-Python indenting encoder.
+    value passes through ``json``'s pure-Python indenting encoder.  The
+    head, each entry with the separator before it, and the tail are
+    joined once, so the entries and the result are the only copies of the
+    document's text: its peak is about twice the result's length.
     """
     dumps = json.dumps
     system = doc["system"]
     vertex = _layout(["%d"] * system["k"], 8)
-    graphs = [
-        _ENTRY
-        % (
-            dumps(e["id"]),
-            _layout([vertex % tuple(v) for v in e["vertices"]], 6),
-            _layout([_EDGE % _edge_values(d) for d in e["edges"]], 6),
-            dumps(e["multiplicity"]),
-            dumps(e["self_chiral"]),
-            dumps(e["chiral_of"]),
-            dumps(e["prime"]),
-        )
-        for e in doc["graphs"]
-    ]
-    summary = doc["summary"]
-    return (
-        _DOC
+    pieces = [
+        _HEAD
         % (
             dumps(doc["schema"]),
             _SYSTEM
@@ -162,11 +156,29 @@ def document_to_json(doc: dict) -> str:
             ),
             dumps(doc["m_max"]),
             dumps(doc["complete"]),
-            _layout(graphs, 2),
-            _SUMMARY % tuple(dumps(summary[f]) for f in _SUMMARY_FIELDS),
         )
-        + "\n"
-    )
+    ]
+    # the graph array, laid out as _layout(entries, 2) lays it out
+    sep = "[\n    "
+    for e in doc["graphs"]:
+        pieces.append(sep)
+        pieces.append(
+            _ENTRY
+            % (
+                dumps(e["id"]),
+                _layout([vertex % tuple(v) for v in e["vertices"]], 6),
+                _layout([_EDGE % _edge_values(d) for d in e["edges"]], 6),
+                dumps(e["multiplicity"]),
+                dumps(e["self_chiral"]),
+                dumps(e["chiral_of"]),
+                dumps(e["prime"]),
+            )
+        )
+        sep = ",\n    "
+    pieces.append("\n  ]" if doc["graphs"] else "[]")
+    summary = doc["summary"]
+    pieces.append(_TAIL % (_SUMMARY % tuple(dumps(summary[f]) for f in _SUMMARY_FIELDS),))
+    return "".join(pieces)
 
 
 def parse_document(text: str) -> tuple[RowSystem, list[VectorGraph], dict]:

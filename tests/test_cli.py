@@ -1,9 +1,10 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from kirchgraph.cli import main, parse_matrix_text, CliError
+from kirchgraph.cli import _SLICE, _write, main, parse_matrix_text, CliError
 from kirchgraph.document import build_document, document_to_json, parse_document
 from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
 from kirchgraph.exactalg import build_row_system
@@ -45,6 +46,17 @@ def test_matrix_parse_errors():
     assert err.value.code == 2
     with pytest.raises(CliError):
         parse_matrix_text("# nothing here\n")
+
+
+def test_matrix_tokens_are_integers_or_p_over_q(tmp_path, capsys):
+    # Fraction also reads decimals, exponents and underscores, and an
+    # exponent such as 1e999999999 never finishes; these exit 2 first.
+    assert parse_matrix_text("-5/2 +3 0\n") == [[Fraction(-5, 2), 3, 0]]
+    for tok in ["1e3", "0.5", "1_0"]:
+        matrix = tmp_path / "matrix.txt"
+        matrix.write_text(f"2 0 1 1\n0 2 1 {tok}\n")
+        assert main(["enumerate", "--matrix", str(matrix), "--m-max", "1"]) == 2
+        assert f"bad rational {tok!r}" in capsys.readouterr().err
 
 
 def test_degenerate_matrix_exit_code(tmp_path, capsys):
@@ -237,13 +249,15 @@ def _float_vertex(graph):
         pytest.param(lambda graph: graph.update(id="../escaped"), id="path id"),
         pytest.param(lambda graph: graph.update(id="G1"), id="duplicate id"),
         pytest.param(lambda graph: graph.update(id="X"), id="non-positional id"),
+        pytest.param(lambda graph: "[" * 200000, id="deep nesting"),
     ],
 )
 def test_malformed_document_exits_2(tmp_path, square_doc, capsys, mangle):
+    # a mangle that returns text replaces the whole document with it
     doc = json.loads(square_doc.read_text())
-    mangle(doc["graphs"][0])
+    text = mangle(doc["graphs"][0])
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(doc) if text is None else text)
     assert main(["verify", "--doc", str(bad)]) == 2
     assert "bad document:" in capsys.readouterr().err
 
@@ -568,6 +582,27 @@ def test_numeric_flags_below_one_exit_2(square_matrix, capsys, command, flag, va
 
 
 # -- output paths --------------------------------------------------------------
+
+
+def test_write_in_slices_gives_the_bytes_of_write_text(tmp_path):
+    text = "".join(f"{i},\n" for i in range(3 * _SLICE // 4))
+    assert len(text) > 2 * _SLICE
+    _write(tmp_path / "sliced.txt", text)
+    (tmp_path / "whole.txt").write_text(text)
+    assert (tmp_path / "sliced.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+    _write(tmp_path / "empty.txt", "")
+    assert (tmp_path / "empty.txt").read_bytes() == b""
+
+
+def test_write_onto_a_directory_exits_2(tmp_path, square_doc, capsys):
+    with pytest.raises(CliError) as err:
+        _write(tmp_path, "{}")
+    assert err.value.code == 2
+    # render --format json reaches _write with a directory at G0.json
+    (tmp_path / "out" / "G0.json").mkdir(parents=True)
+    argv = ["render", "--doc", str(square_doc), "--format", "json", "--out-dir"]
+    assert main([*argv, str(tmp_path / "out")]) == 2
+    assert f"cannot write {tmp_path / 'out' / 'G0.json'}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["enumerate", "tile", "render", "enumerate onto a directory"])

@@ -9,6 +9,7 @@ change.
 
 import hashlib
 import json
+import tracemalloc
 from functools import cache
 from pathlib import Path
 
@@ -129,6 +130,28 @@ def test_writer_equals_json_dumps(name):
 @pytest.mark.parametrize("name", [name for name, (_, digest) in DOCUMENTS.items() if digest])
 def test_document_bytes_are_pinned(name):
     assert sha256(document_to_json(document(name)).encode()) == DOCUMENTS[name][1]
+
+
+def test_writer_holds_the_text_about_twice():
+    # The entries and the joined result are the only copies of the text:
+    # a writer that joins the entries, then formats that into the
+    # document and appends the newline peaks at about 3.3 times its
+    # length here.
+    doc = document("triangle m=4 prime")
+    tracemalloc.start()
+    try:
+        text = document_to_json(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) >= 1 << 20
+    assert peak < 2.5 * len(text)
+
+
+def test_zero_graphs_write_an_empty_array():
+    text = document_to_json(document("zero graphs"))
+    assert '\n  "graphs": [],\n  "summary": {' in text
+    assert text.endswith("\n}\n")
 
 
 # (document, format, files written, SHA-256 of the files concatenated in

@@ -786,19 +786,28 @@ def test_fundamental_sets_start_at_the_rank_of_the_characters(monkeypatch):
     # than their rank is tried: on shear m <= 6 the rank is 2, and the
     # 3-sets are found at the second size tried.  A one-graph tier under
     # a rank of 2 gives no answer without trying a subset.
+    # Only combinations(tier, size) calls are recorded, so another use of
+    # combinations inside fundamental_sets does not read as a size tried.
     sizes = []
+    tier = []
     real = tiling.combinations
 
     def recording(pool, size):
-        sizes.append(size)
+        pool = list(pool)
+        if pool == tier:
+            sizes.append(size)
         return real(pool, size)
 
     monkeypatch.setattr(tiling, "combinations", recording)
-    assert fundamental_sets(shear_graphs()) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    graphs = shear_graphs()
+    tier[:] = range(len(graphs))
+    assert {g.multiplicity().m for g in graphs} == {6}
+    assert fundamental_sets(graphs) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     assert sizes == [2, 3]
     g = census(TRIANGLE, 3)
     one, three = next(x for x in g if x.multiplicity().m == 1), g[0]
     assert three.multiplicity().m == 3
+    tier[:] = [0]
     sizes.clear()
     assert fundamental_sets([one, three]) == []
     assert sizes == []
