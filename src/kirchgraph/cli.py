@@ -7,7 +7,9 @@ take integers >= 1.  Exit codes: 0 success, 1 a graph of the document
 failed its check (``verify``), 2 malformed input or an output path that
 cannot be written, 3 degenerate matrix, 4 node-limit truncation, 5 a
 tile expression that cannot be evaluated: a subtraction with no copy at
-its offset, or a sum or difference that is not Kirchhoff.  Exit 2 comes
+its offset, or a sum or difference that is not Kirchhoff, 141 (128 +
+SIGPIPE, as the shell reports for other tools) the reader of stdout
+closed it early, as ``head`` does, with nothing on stderr.  Exit 2 comes
 before any work: on an ``enumerate`` or ``tile`` ``--out`` that is a
 directory or whose directory is missing, an ``--ids`` entry not in the
 document, a system echo that its ``R`` does not rebuild.
@@ -16,6 +18,7 @@ document, a system echo that its ``R`` does not rebuild.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from importlib import import_module
@@ -27,6 +30,7 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_TRUNCATED = 4
 EXIT_TILE_FAILED = 5
+EXIT_BROKEN_PIPE = 141
 
 
 def _deferred(layer: str, name: str):
@@ -407,10 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # stdout's reader is gone: point fd 1 at devnull, so that the
+        # flush at shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -31,8 +31,12 @@ placement at offset o multiplies Phi_s by (-1)^(s.o), so each Phi_s of
 anything the generators tile lies in the rational span of theirs.  A
 target outside that span for some s is not tiled by any expression, so
 skipping its search cannot change an answer.  The same ranks give a
-floor on the size of a generating set.  Neither bounds the search: the
-decomposable k = 4 system at m = 1 still gives no answer in minutes.
+floor on the size of a generating set.  Neither bounds the search: on
+the decomposable k = 4 system at m = 1, ``fundamental_sets`` makes
+26,768 span calls (6,314,319 nodes) to its 4,096 sets of seven.  That
+took 290 s in-process (2 vCPUs, Python 3.11) before the span search
+aligned on packed shifts and restored demand from a snapshot, and
+220 s after, on the same calls and nodes.
 """
 
 from __future__ import annotations
@@ -438,6 +442,28 @@ def span_contains(
     by an offset has every key moved by pack((*offset, 0)).  The
     placements returned carry their offsets as tuples.
 
+    Alignment works on packed shifts, with no tuple arithmetic per
+    option.  A generator edge (pt, i) with packed key gk lies over a
+    demand key K of the same vec_index (K's last digit) at the offset
+    whose shift pack((*offset, 0)) is K - gk, since pack is linear.  A
+    memo maps each shift to its offset, or to None outside the window;
+    it is filled on first sight, from one unpacking of K.  It never
+    takes one offset for another.  Every demand key lies in the box, and
+    the box has lows <= min gen tail + lo and highs >= max gen tail + hi.
+    So an offset K's tail - pt and an in-window offset o differ by
+    K's tail - (pt + o), two points of the box: less than the digit size
+    in each coordinate.  Mixed-radix digits that small pack to 0 only
+    when all are 0, so no other offset shares an in-window offset's
+    shift.  The memo fills lazily: the whole window has the product of
+    its widths as its size.
+
+    A node keeps only ``demand`` up to date as it places a copy.  It
+    snapshots ``demand`` before its options and restores the snapshot
+    after each failed child; dict order does not matter, since
+    ``pick_mismatch`` breaks ties by key and keys are unique.  The gap,
+    sum |demand|, is summed only where the prune tests it, once the node
+    has options and budget left.
+
     A "no_within_bounds" answer is not a proof of non-membership.
     """
     generators = list(generators)
@@ -477,23 +503,34 @@ def span_contains(
     # box, but the key of its copy at an in-window offset,
     # pack((*pt, pi)) + pack((*offset, 0)), falls inside
     gen_keys = [[(box.pack((*pt, pi)), pc) for (pt, pi), pc in items] for items in gen_items]
-    # generator edges by vec_index, in generator order then item order
-    tails_by_index: dict[int, list[tuple[int, Coord]]] = {}
+    # generator edges (gi, tail, packed key) by vec_index, in generator
+    # order then item order
+    by_index: dict[int, list[tuple[int, Coord, int]]] = {}
     for gi, items in enumerate(gen_items):
         for (pt, pi), _ in items:
-            tails_by_index.setdefault(pi, []).append((gi, pt))
+            by_index.setdefault(pi, []).append((gi, pt, box.pack((*pt, pi))))
+    # a key's vec_index is its last digit, counted from the box's corner
+    corner = box.pack((*lows, 0))
+    # offset shift pack((*offset, 0)) -> the offset, None outside the window
+    offsets: dict[int, Coord | None] = {}
     # (generator, offset shift) -> the placed copy's keys with counts
     shifted = _Filled(lambda gs: [(pk + gs[1], pc) for pk, pc in gen_keys[gs[0]]])
 
     def alignments(key):
         """In-window placements (gi, offset, placed keys) of a generator
         edge over ``key``."""
-        *tail, idx = box.unpack(key)
+        tail = None
         found = []
-        for gi, pt in tails_by_index.get(idx, ()):
-            off = tuple(map(sub, tail, pt))
-            if all(a <= x <= z for a, x, z in zip(lo, off, hi)):
-                found.append((gi, off, shifted[gi, box.pack((*off, 0))]))
+        for gi, pt, gk in by_index.get((key - corner) % n, ()):
+            shift = key - gk
+            if shift not in offsets:
+                if tail is None:
+                    *tail, _ = box.unpack(key)
+                off = tuple(map(sub, tail, pt))
+                offsets[shift] = off if all(a <= x <= z for a, x, z in zip(lo, off, hi)) else None
+            off = offsets[shift]
+            if off is not None:
+                found.append((gi, off, shifted[gi, shift]))
         return found
 
     aligned = _Filled(alignments)
@@ -514,18 +551,14 @@ def span_contains(
     tables = _Filled(ranking)
 
     # demand: packed edge key -> target count minus placed count (may be
-    # negative); gap: the sum of its absolute values
+    # negative)
     demand = {box.pack((*t, i)): c for (t, i), c in target._edges.items()}
-    gap = sum(demand.values())
     committed = [0] * len(generators)  # per-generator sign, 0 while unused
     nodes = 0
 
     def apply_gen(placed, sign):
-        nonlocal gap
         for key, pc in placed:
-            have = demand.get(key, 0)
-            left = have - sign * pc
-            gap += abs(left) - abs(have)
+            left = demand.get(key, 0) - sign * pc
             if left:
                 demand[key] = left
             else:
@@ -542,9 +575,10 @@ def span_contains(
         _, key, opts = min(map(tables[tuple(committed)].__getitem__, demand.items()))
         if budget == 0 or not opts:
             return None
-        if gap > budget * max_size:
+        if sum(map(abs, demand.values())) > budget * max_size:
             return None
         sign = 1 if demand[key] > 0 else -1
+        saved = demand.copy()
         for gi, off, placed in opts:
             prev = committed[gi]
             committed[gi] = sign
@@ -554,7 +588,8 @@ def span_contains(
             if res is not None:
                 return res
             placements.pop()
-            apply_gen(placed, -sign)
+            demand.clear()
+            demand.update(saved)
             committed[gi] = prev
         return None
 
@@ -679,7 +714,8 @@ def fundamental_sets(graphs, coeff_bound: int = DEFAULT_COEFF_BOUND) -> list[tup
     subset covers what its subsets cover (its window and allowed totals
     only grow, signs are per generator), so it skips the targets that a
     subset one smaller covered.  Decomposable k = 4 at m = 1 still takes
-    minutes: 26,768 span calls to its 4,096 sets of seven.
+    minutes (220 s, see the module docstring): 26,768 span calls to its
+    4,096 sets of seven.
     """
     graphs = list(graphs)
     if not graphs:

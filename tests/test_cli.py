@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from kirchgraph.cli import _SLICE, _write, main, parse_matrix_text, CliError
+from kirchgraph.cli import EXIT_BROKEN_PIPE, _SLICE, _write, main, parse_matrix_text, CliError
 from kirchgraph.document import build_document, document_to_json, parse_document
 from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
 from kirchgraph.exactalg import build_row_system
@@ -304,6 +308,37 @@ def test_verify_detects_broken_graph(tmp_path, square_doc, capsys):
     out = capsys.readouterr().out
     assert "bad_vertex" in out
     assert "at vertex" in out
+
+
+def test_verify_into_a_closed_pipe_exits_141_quietly(tmp_path):
+    # `verify --doc triangle-m4.json | head -n 1`: the reader takes one
+    # line of the 1,295 and closes the pipe.  The pipe is shrunk to one
+    # page, so the writer is still blocked on it when it closes.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe size cannot be set here")
+    matrix = tmp_path / "triangle.txt"
+    matrix.write_text("1 0 1\n0 1 1\n")
+    doc = tmp_path / "triangle-m4.json"
+    assert main(["enumerate", "--matrix", str(matrix), "--m-max", "4", "--out", str(doc)]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r, w = os.pipe()
+    fcntl.fcntl(r, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kirchgraph.cli", "verify", "--doc", str(doc)],
+        stdout=w, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(w)
+    head = b""
+    while b"\n" not in head:
+        chunk = os.read(r, 64)
+        assert chunk, "verify printed no line"
+        head += chunk
+    os.close(r)
+    _, err = proc.communicate(timeout=60)
+    assert head.split(b"\n")[0] == b"G0: ok"
+    assert (proc.returncode, err) == (EXIT_BROKEN_PIPE, b"")
 
 
 def test_verify_trivial_empty_graph(tmp_path, square_doc, capsys):

@@ -593,13 +593,17 @@ def test_span_returns_at_once_when_no_placement_total_fits():
 
 
 @pytest.mark.parametrize(
-    "rows, m_max", [(SHEAR, 6), (CUBE, 1), (TRIANGLE, 3), (SQUARE, 4)],
+    "rows, m_max, work",
+    [(SHEAR, 6, (28, 6, 4506)), (CUBE, 1, (186, 42, 5332)), (TRIANGLE, 3, (326, 112, 1552)),
+     (SQUARE, 4, (71, 33, 321))],
     ids=["shear m<=6", "cube m<=1", "triangle m<=3", "square m<=4"],
 )
-def test_allowed_totals_give_the_answers_of_every_budget(monkeypatch, rows, m_max):
+def test_allowed_totals_give_the_answers_of_every_budget(monkeypatch, rows, m_max, work):
     # Searching only the placement totals that edge counts allow returns
     # the status and placements of deepening through every budget, for
-    # each subset of the minimal tier and each target outside it.
+    # each subset of the minimal tier and each target outside it.  The
+    # allowed-total run's (calls, yes answers, nodes) were recorded
+    # before alignment worked on packed shifts.
     g = census(rows, m_max)
     tier = [x for x in g if x.multiplicity().m == min(y.multiplicity().m for y in g)]
     pairs = [
@@ -610,6 +614,7 @@ def test_allowed_totals_give_the_answers_of_every_budget(monkeypatch, rows, m_ma
         if target not in subset
     ]
     allowed = [span_contains(gens, target) for gens, target in pairs]
+    assert (len(allowed), sum(r.contained for r in allowed), sum(r.nodes for r in allowed)) == work
     monkeypatch.setattr(tiling, "_placement_totals", lambda counts, target, bound: range(1, bound + 1))
     every = [span_contains(gens, target) for gens, target in pairs]
     assert [(r.status, r.expression) for r in allowed] == [(r.status, r.expression) for r in every]
@@ -679,6 +684,29 @@ def test_span_search_with_a_window_that_excludes_the_origin(monkeypatch):
     assert res.status == "yes" and res.nodes == 7
     found = [(g.index(p.graph), p.offset, p.sign) for p in res.expression.placements]
     assert found == [(1, (-1, 1), 1), (0, (0, 1), 1), (2, (-1, 1), -1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(SHEAR, 6), (CUBE, 1)]), st.data())
+def test_yes_placements_lie_inside_the_window(system, data):
+    # Alignment maps packed shifts to offsets through a memo; an offset
+    # outside the window must never pass for one inside it.  So every
+    # placement of a yes answer lies in the window the search was given,
+    # whatever that window is.  The window is set where span_contains
+    # reads it.
+    g = census(*system)
+    chosen = data.draw(st.lists(st.sampled_from(range(len(g))), min_size=3, unique=True))
+    target, gens = g[chosen[0]], [g[i] for i in chosen[1:]]
+    # about a quarter of these answer yes; some windows miss the origin
+    k = target.system.k
+    lo = data.draw(st.tuples(*[st.integers(-2, 0)] * k))
+    hi = tuple(a + data.draw(st.integers(1, 4)) for a in lo)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiling, "_default_window", lambda *_: (lo, hi))
+        res = span_contains(gens, target)
+    if res.contained:
+        for p in res.expression.placements:
+            assert all(a <= x <= z for a, x, z in zip(lo, p.offset, hi)), (p.offset, lo, hi)
 
 
 def test_fundamental_sets_span_calls_keep_their_trees(monkeypatch):
