@@ -483,6 +483,14 @@ def test_render_empty_selection_writes_nothing(square_doc, tmp_path):
     assert list(outdir.iterdir()) == []
 
 
+def test_render_repeated_ids_write_each_file_once(square_doc, tmp_path, capsys):
+    outdir = tmp_path / "repeated"
+    argv = ["render", "--doc", str(square_doc), "--out-dir", str(outdir), "--ids", "G1,G0,G1,,G0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [str(outdir / "G1.svg"), str(outdir / "G0.svg")]
+    assert sorted(p.name for p in outdir.iterdir()) == ["G0.svg", "G1.svg"]
+
+
 def test_render_writes_nothing_outside_the_out_dir(square_doc, tmp_path, capsys):
     # A graph's id names its file, so an id that is a path is refused
     # before anything is written.

@@ -20,14 +20,17 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 REPORT = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
 
-def loaded_modules(code: str) -> set[str]:
+def fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{REPORT}"],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
     )
-    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def loaded_modules(code: str) -> set[str]:
+    return set(json.loads(fresh(f"{code}\n{REPORT}").stdout.splitlines()[-1]))
 
 
 def loaded_layers(code: str) -> set[str]:
@@ -91,6 +94,46 @@ def test_serial_runs_do_not_load_multiprocessing(tmp_path):
     ):
         assert "multiprocessing" not in loaded_modules(run_cli(argv))
     assert "multiprocessing" in loaded_modules(run_cli(enumerate_args + ["--workers", "2"]))
+
+
+# Registered before the CLI is imported, so it runs after the CLI's own
+# exit hook (atexit is last in, first out).
+AT_EXIT = "import atexit, gc; atexit.register(lambda: print('exit', gc.get_freeze_count()))"
+
+
+def freeze_counts(code: str) -> dict[str, int]:
+    """``gc.get_freeze_count()`` in a fresh interpreter running ``code``:
+    under ``now`` where ``code`` prints ``now <n>``, and under ``exit``
+    after every exit hook the code registers has run."""
+    done = fresh(f"{AT_EXIT}\n{code}")
+    assert done.stderr == ""
+    lines = (line.split() for line in done.stdout.splitlines())
+    return {line[0]: int(line[1]) for line in lines if line[:1] in (["now"], ["exit"])}
+
+
+def test_only_a_cli_process_freezes_the_collector_at_exit(tmp_path):
+    matrix = tmp_path / "square.txt"
+    matrix.write_text("2 0 1 1\n0 2 1 -1\n")
+    # `python -m kirchgraph.cli --help`, which exits inside parse_args
+    help_run = "import runpy, sys; sys.argv[1:] = ['--help']; runpy.run_module('kirchgraph.cli', run_name='__main__')"
+    assert freeze_counts(help_run)["exit"] > 0
+    # what the console script runs
+    argv = ["enumerate", "--matrix", str(matrix), "--m-max", "2"]
+    assert freeze_counts(f"import sys; from kirchgraph.cli import main; sys.exit(main({argv!r}))")["exit"] > 0
+    # an in-process caller keeps a live collector until its own exit
+    counts = freeze_counts(
+        f"from kirchgraph.cli import main; assert main({argv!r}) == 0\n"
+        "import gc; print('now', gc.get_freeze_count())"
+    )
+    assert counts["now"] == 0 and counts["exit"] > 0
+    # the library alone never freezes
+    library = (
+        "from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff\n"
+        "from kirchgraph.exactalg import build_row_system\n"
+        "graphs, _ = enumerate_kirchhoff(build_row_system([[2, 0, 1, 1], [0, 2, 1, -1]]), SearchConfig(m_max=2))\n"
+        "assert len(graphs) == 2"
+    )
+    assert freeze_counts(library) == {"exit": 0}
 
 
 def test_public_names_resolve_on_first_access():
