@@ -106,58 +106,35 @@ def _object(fields: tuple[str, ...], indent: int, leaf: str = "%s") -> str:
     return _layout([f'"{name}": {leaf}' for name in fields], indent, "{}")
 
 
-# the document template, cut where the graph array goes
-_GRAPHS = '"graphs": '
-_HEAD, _TAIL = (
-    _object(("schema", "system", "m_max", "complete", "graphs", "summary"), 0) + "\n"
-).split(_GRAPHS + "%s")
-_HEAD += _GRAPHS
-_SYSTEM = _object(("n", "k", "q", "R", "C", "N"), 2)
-_SUMMARY_FIELDS = ("total", "self_chiral", "chiral_pairs", "primes")
-_SUMMARY = _object(_SUMMARY_FIELDS, 2)
+# the templates of a graph entry, the part of the document that grows
+# with the census
 _ENTRY = _object(
     ("id", "vertices", "edges", "multiplicity", "self_chiral", "chiral_of", "prime"), 4
 )
 _EDGE_FIELDS = ("tail", "head", "vec_index", "count")
 _EDGE = _object(_EDGE_FIELDS, 8, "%d")
 _edge_values = itemgetter(*_EDGE_FIELDS)
-
-
-def _matrix(rows) -> str:
-    return _layout([_layout([str(x) for x in row], 6) for row in rows], 4)
+# where the graph array goes in the frame that json.dumps writes
+_SLOT = json.dumps("\0")
 
 
 def document_to_json(doc: dict) -> str:
     """The document as ``json.dumps(doc, indent=2) + "\\n"`` writes it.
 
     ``doc`` has the shape ``build_document`` gives (and ``parse_document``
-    returns).  Each object of that shape is a fixed template whose leaves
-    ``json.dumps`` (the C encoder, for scalars) or ``%d`` write, so no
-    value passes through ``json``'s pure-Python indenting encoder.  The
-    head, each entry with the separator before it, and the tail are
-    joined once, so the entries and the result are the only copies of the
-    document's text: its peak is about twice the result's length.
+    returns).  ``json.dumps`` writes the frame, everything but the graph
+    array, with a placeholder string in the array's place.  Each graph
+    entry is a fixed template whose leaves ``json.dumps`` (the C encoder,
+    for scalars) or ``%d`` write, so no entry passes through ``json``'s
+    pure-Python indenting encoder.  The frame's head, each entry with the
+    separator before it, and the frame's tail are joined once, so the
+    entries and the result are the only copies of the document's text:
+    its peak is about twice the result's length.
     """
     dumps = json.dumps
-    system = doc["system"]
-    vertex = _layout(["%d"] * system["k"], 8)
-    pieces = [
-        _HEAD
-        % (
-            dumps(doc["schema"]),
-            _SYSTEM
-            % (
-                dumps(system["n"]),
-                dumps(system["k"]),
-                dumps(system["q"]),
-                _matrix(system["R"]),
-                _matrix(system["C"]),
-                _matrix(system["N"]),
-            ),
-            dumps(doc["m_max"]),
-            dumps(doc["complete"]),
-        )
-    ]
+    head, tail = dumps({**doc, "graphs": "\0"}, indent=2).split(_SLOT)
+    vertex = _layout(["%d"] * doc["system"]["k"], 8)
+    pieces = [head]
     # the graph array, laid out as _layout(entries, 2) lays it out
     sep = "[\n    "
     for e in doc["graphs"]:
@@ -175,9 +152,7 @@ def document_to_json(doc: dict) -> str:
             )
         )
         sep = ",\n    "
-    pieces.append("\n  ]" if doc["graphs"] else "[]")
-    summary = doc["summary"]
-    pieces.append(_TAIL % (_SUMMARY % tuple(dumps(summary[f]) for f in _SUMMARY_FIELDS),))
+    pieces += ("\n  ]" if doc["graphs"] else "[]", tail, "\n")
     return "".join(pieces)
 
 

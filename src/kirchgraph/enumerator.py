@@ -126,7 +126,7 @@ class Search:
     are packed ints (``vertex`` and ``cut`` pack and unpack them, see the
     module docstring).  ``_apply`` performs one cut assignment and pushes it,
     ``_undo`` takes the last one back, ``_visit`` drives the recursion and
-    ``run`` iterates anchor cuts (``anchor_cuts``, packed).  Useful
+    ``run`` visits the root, whose targets are anchor cuts.  Useful
     directly when a test wants to poke one assignment at a time;
     ``enumerate_kirchhoff`` is the high-level entry point.  A node is
     counted by its parent, with its prunes, right after the move that
@@ -234,17 +234,17 @@ class Search:
         self._applied: list[tuple] = []
 
     def run(self, anchor_indices) -> None:
-        # the root (the anchor at zero cut and sum) has all of lam in its box
+        """Search the subtrees of the anchor cuts ``anchor_indices`` (into
+        ``anchor_cuts``).  The root, the anchor at zero cut and sum, has
+        all of ``lam`` in its box and takes its tasks' cuts in list order,
+        as any node takes its targets."""
         targets = self._targets
-        pruned = self._negative[0, 0] if 0 < self._low_sum else 0
+        mask = 0
         for li in anchor_indices:
-            if not self.stats.complete:
-                break
-            bit = 1 << targets.index(self.anchor_cuts[li])
-            if bit & pruned:
-                self.stats.prunes_negative_sum += 1
-            else:
-                self._visit(0, (), bit, (1 << len(targets)) - 1, 0)
+            mask |= 1 << targets.index(self.anchor_cuts[li])
+        pruned = mask & self._negative[0, 0] if 0 < self._low_sum else 0
+        self.stats.prunes_negative_sum += pruned.bit_count()
+        self._visit(0, (), mask ^ pruned, (1 << len(targets)) - 1, pruned)
 
     @property
     def edges(self) -> dict[int, int]:

@@ -24,19 +24,8 @@ Span membership is a bounded semi-decision: spans are infinite, so a
 negative answer only means "not within the given coefficient and offset
 bounds".
 
-Fundamental-set search first tries a necessary condition that costs no
-search, the character test.  For s in {0,1}^k, Phi_s(G) sums
-(-1)^(s.t) * c * e_i over the edges (t, i) of G with count c.  A
-placement at offset o multiplies Phi_s by (-1)^(s.o), so each Phi_s of
-anything the generators tile lies in the rational span of theirs.  A
-target outside that span for some s is not tiled by any expression, so
-skipping its search cannot change an answer.  The same ranks give a
-floor on the size of a generating set.  Neither bounds the search: on
-the decomposable k = 4 system at m = 1, ``fundamental_sets`` makes
-26,768 span calls (6,314,319 nodes) to its 4,096 sets of seven.  That
-took 290 s in-process (2 vCPUs, Python 3.11) before the span search
-aligned on packed shifts and restored demand from a snapshot, and
-220 s after, on the same calls and nodes.
+Fundamental-set search skips the span searches that a character
+test, which costs no search, rules out (``fundamental_sets``).
 """
 
 from __future__ import annotations
@@ -149,12 +138,11 @@ def _place(edges: dict, copies: list[int], g: VectorGraph, offset: Coord, sign: 
 def _fold(start: VectorGraph, placements) -> VectorGraph:
     """``start`` with each placement added or removed in turn.
 
-    The running multiset folds into one edge dict through ``_place``.
-    Removing an empty graph is skipped.  A graph is built, on a copy of
-    the dict, and checked only where ``_place`` finds no theorem for the
-    verdict, and the check raises KirchhoffViolation unless the graph is
-    Kirchhoff or empty; so after the first placement the running graph
-    is Kirchhoff or empty.
+    The running multiset folds into one edge dict through ``_place``.  A
+    graph is built, on a copy of the dict, and checked only where
+    ``_place`` finds no theorem for the verdict, and the check raises
+    KirchhoffViolation unless the graph is Kirchhoff or empty; so after
+    the first placement the running graph is Kirchhoff or empty.
     An "ok" verdict implies vector 2-connectivity: every row of
     N = [C; -qI] is nonzero (no zero row of C), so cycle vectors that
     span Null(R) cover every coordinate.
@@ -166,8 +154,6 @@ def _fold(start: VectorGraph, placements) -> VectorGraph:
     result = start
     for p in placements:
         _require_same_system(start, p.graph)
-        if p.sign < 0 and p.graph.is_empty:
-            continue
         sign = 1 if p.sign > 0 else -1
         result = None
         if not _place(edges, copies, p.graph, p.offset, sign, verified):
@@ -713,9 +699,10 @@ def fundamental_sets(graphs, coeff_bound: int = DEFAULT_COEFF_BOUND) -> list[tup
     skipped, and a tier smaller than that rank gives [] at once.  A
     subset covers what its subsets cover (its window and allowed totals
     only grow, signs are per generator), so it skips the targets that a
-    subset one smaller covered.  Decomposable k = 4 at m = 1 still takes
-    minutes (220 s, see the module docstring): 26,768 span calls to its
-    4,096 sets of seven.
+    subset one smaller covered.  Neither the test nor the floor bounds
+    the search: decomposable k = 4 at m = 1 makes 26,768 span calls
+    (6,314,319 nodes) to its 4,096 sets of seven, 220 s in-process
+    (2 vCPUs, Python 3.11).
     """
     graphs = list(graphs)
     if not graphs:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -236,6 +237,11 @@ def _float_vertex(graph):
     vertex[0] = float(vertex[0])
 
 
+def _set_head_to_tail(graph):
+    edge = graph["edges"][0]
+    edge["head"] = edge["tail"]
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -249,6 +255,8 @@ def _float_vertex(graph):
         pytest.param(_set("count", 1.5), id="fractional count"),
         pytest.param(_set("count", True), id="bool count"),
         pytest.param(_float_vertex, id="float vertex"),
+        # only the geometric check can reject this one
+        pytest.param(_set_head_to_tail, id="head at tail"),
         pytest.param(lambda graph: graph.update(edges=5), id="non-list edges"),
         pytest.param(lambda graph: graph.update(id="../escaped"), id="path id"),
         pytest.param(lambda graph: graph.update(id="G1"), id="duplicate id"),
@@ -420,11 +428,18 @@ def test_tile_non_kirchhoff_operand_exits_5(square_doc, tmp_path, capsys):
     assert "tile failed: sum produced a non-Kirchhoff graph" in capsys.readouterr().err
 
 
-def test_tile_parse_errors(square_doc):
+def test_tile_parse_errors(square_doc, capsys):
     assert main(["tile", "--doc", str(square_doc), "1*G9@(0,0)"]) == 2
     assert main(["tile", "--doc", str(square_doc), "- 1*G0@(0,0)"]) == 2
     assert main(["tile", "--doc", str(square_doc), "1*G0@(0,0) 1*G1"]) == 2
     assert main(["tile", "--doc", str(square_doc), "1*G0@(1,2,3)"]) == 2
+    capsys.readouterr()
+    for expression, message in [
+        ("1*G0 +", "cannot parse expression at: '+'"),
+        ("", "empty expression"),
+    ]:
+        assert main(["tile", "--doc", str(square_doc), expression]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # -- render ----------------------------------------------------------------------------
@@ -512,6 +527,23 @@ def test_render_unknown_id_makes_no_out_dir(square_doc, tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_render_the_empty_tile_result(square_doc, tmp_path, capsys):
+    # G0 - G0 leaves the empty graph, which both renderers draw without a
+    # vertex.
+    doc = tmp_path / "empty.json"
+    assert main(["tile", "--doc", str(square_doc), "1*G0 - 1*G0", "--out", str(doc)]) == 0
+    for fmt in ("svg", "dot"):
+        argv = ["render", "--doc", str(doc), "--format", fmt, "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+    svg = (tmp_path / "G0.svg").read_bytes()
+    assert b"empty graph</text>" in svg
+    assert hashlib.sha256(svg).hexdigest() == (
+        "31cabc432fa19fa9b2905a0f69a80902d8342ed21d6316a61f64c533022dcc8a"
+    )
+    dot = (tmp_path / "G0.dot").read_text()
+    assert dot == 'digraph "G0" {\n  node [shape=point, width=0.08];\n}\n'
+
+
 def test_render_deterministic_bytes(square_doc, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -576,6 +608,18 @@ def test_fundamental_names_are_the_document_ids(tmp_path, capsys):
     doc = build_document(system, graphs, m_max=6)
     by_doc = [", ".join(doc["graphs"][i]["id"] for i in subset) for subset in fundamental_sets(graphs)]
     assert printed == by_doc == ["G0, G1, G2", "G0, G1, G3", "G0, G2, G3", "G1, G2, G3"]
+
+
+def test_fundamental_without_graphs_is_success(square_matrix, capsys):
+    # the square system has no graph below m = 2
+    assert main(["fundamental", "--matrix", str(square_matrix), "--m-max", "1"]) == 0
+    assert capsys.readouterr().out == "no graphs to generate\n"
+
+
+def test_missing_matrix_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["enumerate", "--matrix", str(missing), "--m-max", "1"]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
 
 
 def test_min_multiplicity_command(square_matrix, capsys):

@@ -1,7 +1,8 @@
 """Byte pins for the document and render path.
 
-``document_to_json`` writes documents from fixed templates, and must
-give exactly ``json.dumps(doc, indent=2)``.  The digests below are the
+``document_to_json`` lets ``json.dumps`` write the frame of a document
+and fixed templates write its graph entries, and must give exactly
+``json.dumps(doc, indent=2)``.  The digests below are the
 bytes written before the templated writer, the cached canonical keys and
 the one-pass SVG layout: documents, renderings and graph ids must not
 change.

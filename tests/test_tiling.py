@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kirchgraph.tiling as tiling
-from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
-from kirchgraph.exactalg import build_row_system
+from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff, min_multiplicity
+from kirchgraph.exactalg import build_row_system, enumerate_bounded_cuts
 from kirchgraph.tiling import (
     FamilyConstructionError,
     KirchhoffViolation,
@@ -238,14 +238,60 @@ def test_subtract_everything_gives_trivial():
 
 
 def test_subtract_empty_keeps_the_graph_and_its_verdict():
-    # Taking away the empty graph is skipped, before any check, so even a
-    # non-Kirchhoff graph comes back as it was.
+    # The empty graph is placed like any other graph: a Kirchhoff graph
+    # minus it keeps its edges and takes its verdict from the difference
+    # theorem, while a bad offset and a non-Kirchhoff operand raise, as
+    # they do for add.
     f1, _ = square_pair()
     empty = VectorGraph.empty(f1.system)
-    for g in (f1, VectorGraph(f1.system, [((0, 0), 0)])):
-        result = subtract(g, empty, (4, -1))
-        assert result.edge_items() == g.edge_items()
-        assert result.is_kirchhoff() == g.is_kirchhoff() == fresh_verdict(g)
+    result = subtract(f1, empty, (4, -1))
+    assert result.edge_items() == f1.edge_items()
+    assert result.is_kirchhoff() == f1.is_kirchhoff() == fresh_verdict(f1)
+    edge = VectorGraph(f1.system, [((0, 0), 0)])
+    for op in (add, subtract):
+        for offset, message in (((1.5, 0), "not an integer point"), ((0,), "wrong dimension")):
+            with pytest.raises(ValueError, match=message):
+                op(f1, empty, offset)
+        with pytest.raises(KirchhoffViolation, match="bad_vertex"):
+            op(edge, empty, (0, 0))
+
+
+def _square_empty():
+    return VectorGraph.empty(square_system())
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: span_contains([], square_pair()[0]), "need at least one generator",
+                     id="span_contains without generators"),
+        pytest.param(lambda: span_contains([_square_empty()], square_pair()[0]),
+                     "generators must be nonempty", id="span_contains empty generator"),
+        pytest.param(lambda: span_contains(square_pair(), square_pair()[0], coeff_bound=0),
+                     "coeff_bound must be >= 1", id="span_contains coeff_bound 0"),
+        pytest.param(lambda: span_contains(square_pair(), _square_empty()),
+                     SpanResult("yes", TilingExpression(()), 0), id="span_contains empty target"),
+        pytest.param(lambda: fundamental_sets([]), "need at least one graph",
+                     id="fundamental_sets without graphs"),
+        pytest.param(lambda: fundamental_sets([VectorGraph(square_system(), [((0, 0), 0)])]),
+                     "all graphs must be uniform", id="fundamental_sets non-uniform graph"),
+        pytest.param(lambda: TilingExpression(()).evaluate(), "empty expression",
+                     id="evaluate empty expression"),
+        pytest.param(lambda: min_multiplicity(square_system(), 0), "m_limit must be >= 1",
+                     id="min_multiplicity limit 0"),
+        pytest.param(lambda: enumerate_bounded_cuts(square_system(), 0), "bound must be >= 1",
+                     id="enumerate_bounded_cuts bound 0"),
+        pytest.param(lambda: _square_empty().bounding_box(), "empty graph has no bounding box",
+                     id="bounding_box of the empty graph"),
+    ],
+)
+def test_library_argument_checks(call, expected):
+    # a string is the message of the ValueError the call must raise
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            call()
+    else:
+        assert call() == expected
 
 
 def record_results(monkeypatch):
