@@ -1,14 +1,14 @@
 """The parallel search gives what the serial one gives.
 
-A pool hands out the anchor cuts one per task, so graphs, counters,
+Forked workers take the anchor cuts one per task, so graphs, counters,
 primality statuses and document bytes must not depend on the worker
-count or on the start method.
+count, and a failing worker must fail the run and leave no process
+behind.
 """
 
 import json
 import os
-import subprocess
-import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,6 @@ from kirchgraph.exactalg import build_row_system
 from kirchgraph.tiling import is_prime
 from kirchgraph.vgraph import VectorGraph
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
 SQUARE = [[2, 0, 1, 1], [0, 2, 1, -1]]
 CENSUSES = [(TRIANGLE, 4, True), (SQUARE, 5, False)]
@@ -71,40 +70,77 @@ def test_anchor_tasks_partition_the_search(rows, m_max, _):
 
 @pytest.mark.parametrize("rows, cuts", [(SQUARE, 4), (TRIANGLE, 6)], ids=["square", "triangle"])
 def test_pool_never_outnumbers_the_anchor_cuts(monkeypatch, rows, cuts):
-    # at m = 1 square has 4 anchor cuts and triangle 6, so 8 workers ask
-    # for a pool of 4 or 6 processes
-    import multiprocessing
+    # at m = 1 square has 4 anchor cuts and triangle 6, so 8 workers are
+    # this process and 3 or 5 forked ones
+    forks = []
+    fork = os.fork
 
-    from kirchgraph import enumerator
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
 
-    asked = []
-
-    class FakePool:
-        """Records the process count and runs the initializer and the
-        tasks in this process."""
-
-        def __init__(self, processes, initializer, initargs):
-            asked.append(processes)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap_unordered(self, func, tasks, chunksize=1):
-            return map(func, tasks)
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(enumerator, "_worker", None)
+    monkeypatch.setattr(os, "fork", counting_fork)
     system = build_row_system(rows)
     assert len(Search(system, SearchConfig(m_max=1)).anchor_cuts) == cuts
     serial, serial_stats = enumerate_kirchhoff(system, SearchConfig(m_max=1))
+    assert forks == []
     graphs, stats = enumerate_kirchhoff(system, SearchConfig(m_max=1, workers=8))
-    assert asked == [cuts]
+    assert forks == [os.getpid()] * (cuts - 1)
     assert [g.canonical_key() for g in graphs] == [g.canonical_key() for g in serial]
     assert stats == serial_stats
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_worker_fails_the_run(monkeypatch, capfd):
+    parent = os.getpid()
+    run = Search.run
+
+    def run_or_fail(self, indices):
+        if os.getpid() != parent:
+            raise ValueError("worker failed")
+        # wait, without reaping it, until the worker has exited, so that it
+        # takes a task whatever the order the two processes run in
+        deadline = time.monotonic() + 60
+        while not os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT | os.WNOHANG):
+            assert time.monotonic() < deadline, "the worker never exited"
+            time.sleep(0.01)
+        run(self, indices)
+
+    monkeypatch.setattr(Search, "run", run_or_fail)
+    with pytest.raises(RuntimeError, match="exited with status 1"):
+        enumerate_kirchhoff(build_row_system(TRIANGLE), SearchConfig(m_max=2, workers=2))
+    assert_no_worker_left()
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "ValueError: worker failed" in err
+
+
+def test_a_failing_parent_leaves_no_worker(monkeypatch):
+    parent = os.getpid()
+    run = Search.run
+
+    def run_or_fail(self, indices):
+        if os.getpid() == parent:
+            raise ValueError("parent failed")
+        run(self, indices)
+
+    monkeypatch.setattr(Search, "run", run_or_fail)
+    with pytest.raises(ValueError, match="parent failed"):
+        enumerate_kirchhoff(build_row_system(SQUARE), SearchConfig(m_max=5, workers=3))
+    assert_no_worker_left()
+
+
+def test_one_process_where_fork_is_missing(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    system = build_row_system(TRIANGLE)
+    runs = []
+    for workers in (1, 2):
+        graphs, stats = enumerate_kirchhoff(system, SearchConfig(m_max=2, workers=workers))
+        runs.append(([g.canonical_key() for g in graphs], stats))
+    assert runs[0] == runs[1]
 
 
 def test_sorted_packed_keys_unpack_in_tuple_key_order():
@@ -117,25 +153,3 @@ def test_sorted_packed_keys_unpack_in_tuple_key_order():
     # each unpacks to the canonical key that a checked graph computes
     for key in unpacked:
         assert VectorGraph(system, dict(key)).canonical_key() == key
-
-
-def test_spawned_workers_write_the_serial_bytes(tmp_path):
-    # Python 3.14 starts pool workers with forkserver on Linux, and macOS
-    # and Windows with spawn: a worker must rebuild its state from what the
-    # pool pickles, not from a forked copy of the parent.
-    matrix = write_matrix(tmp_path / "triangle.txt", TRIANGLE)
-    docs = []
-    for workers in (1, 2):
-        out = tmp_path / f"w{workers}.json"
-        argv = ["enumerate", "--matrix", str(matrix), "--m-max", "3", "--classify-prime",
-                "--workers", str(workers), "--out", str(out)]
-        code = (
-            "import multiprocessing; multiprocessing.set_start_method('spawn'); "
-            f"from kirchgraph.cli import main; raise SystemExit(main({argv!r}))"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, "-c", code], env=env, timeout=120, check=True,
-                       capture_output=True)
-        docs.append(out.read_bytes())
-    assert docs[0] == docs[1]
