@@ -318,6 +318,15 @@ def test_verify_detects_broken_graph(tmp_path, square_doc, capsys):
     assert "at vertex" in out
 
 
+def _cli_env(**changes) -> dict:
+    """The environment of a ``python -m kirchgraph.cli`` subprocess: this
+    checkout's ``src`` on the path, then ``changes`` (None unsets)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(changes)
+    return {key: value for key, value in env.items() if value is not None}
+
+
 def test_verify_into_a_closed_pipe_exits_141_quietly(tmp_path):
     # `verify --doc triangle-m4.json | head -n 1`: the reader takes one
     # line of the 1,295 and closes the pipe.  The pipe is shrunk to one
@@ -329,8 +338,7 @@ def test_verify_into_a_closed_pipe_exits_141_quietly(tmp_path):
     matrix.write_text("1 0 1\n0 1 1\n")
     doc = tmp_path / "triangle-m4.json"
     assert main(["enumerate", "--matrix", str(matrix), "--m-max", "4", "--out", str(doc)]) == 0
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _cli_env()
     r, w = os.pipe()
     fcntl.fcntl(r, fcntl.F_SETPIPE_SZ, 4096)
     proc = subprocess.Popen(
@@ -692,23 +700,109 @@ def test_write_onto_a_directory_exits_2(tmp_path, square_doc, capsys):
     assert f"cannot write {tmp_path / 'out' / 'G0.json'}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["enumerate", "tile", "render", "enumerate onto a directory"])
+@pytest.mark.parametrize("case", [
+    "enumerate", "tile", "render", "enumerate onto a directory",
+    "enumerate to ''", "tile to ''", "render into ''",
+])
 def test_unwritable_output_path_exits_2(tmp_path, square_matrix, square_doc, capsys, case):
     # enumerate and tile write into a directory that does not exist, or
-    # onto one that exists; render's out dir is an existing file.
+    # onto one that exists; render's out dir is an existing file.  An
+    # empty path is no path: it neither skips the write nor means ".".
     missing = tmp_path / "missing" / "x.json"
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     enumerate_argv = ["enumerate", "--matrix", str(square_matrix), "--m-max", "2", "--out"]
+    tile_argv = ["tile", "--doc", str(square_doc), "1*G0", "--out"]
+    render_argv = ["render", "--doc", str(square_doc), "--out-dir"]
     argv, bad = {
         "enumerate": (enumerate_argv, missing),
         "enumerate onto a directory": (enumerate_argv, tmp_path),
-        "tile": (["tile", "--doc", str(square_doc), "1*G0", "--out"], missing),
-        "render": (["render", "--doc", str(square_doc), "--out-dir"], blocker),
+        "tile": (tile_argv, missing),
+        "render": (render_argv, blocker),
+        "enumerate to ''": (enumerate_argv, ""),
+        "tile to ''": (tile_argv, ""),
+        "render into ''": (render_argv, ""),
     }[case]
+    before = sorted(Path.cwd().iterdir())
     assert main([*argv, str(bad)]) == 2
     out, err = capsys.readouterr()
-    assert f"error: cannot write {bad}: " in err
+    assert f"error: cannot write {bad or repr('')}: " in err
+    assert sorted(Path.cwd().iterdir()) == before
     assert "Traceback" not in err
     # every path is checked before any work, so no summary or result line
     assert out == ""
+
+
+def test_write_rewrites_a_longer_or_shorter_file_to_the_new_bytes(tmp_path):
+    text = "".join(f"{i},\n" for i in range(3 * _SLICE // 4))
+    target = tmp_path / "doc.json"
+    for old in [text + "stale tail\n" * 1000, "short\n", text, ""]:
+        target.write_text(old)
+        _write(target, text)
+        assert target.read_text() == text
+    target.write_text(text)
+    _write(target, "{}\n")
+    assert target.read_bytes() == b"{}\n"
+
+
+def test_write_opens_an_existing_file_in_place(tmp_path, monkeypatch):
+    # no O_TRUNC: ext4 charges a truncated file with blocks for being
+    # written again, so the file is overwritten, then cut to length
+    target = tmp_path / "G0.svg"
+    target.write_text("x" * 10_000)
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    _write(target, "<svg/>\n")
+    assert len(flags) == 1
+    assert flags[0] & os.O_WRONLY and flags[0] & os.O_CREAT
+    assert not flags[0] & os.O_TRUNC
+    assert target.read_text() == "<svg/>\n"
+
+
+def test_enumerate_to_dev_null_exits_0(square_matrix, capsys):
+    # /dev/null cannot be truncated (and says it can seek): it is only written
+    argv = ["enumerate", "--matrix", str(square_matrix), "--m-max", "2", "--out", os.devnull]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "2 graphs; 2 self-chiral; 0 chiral pairs\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_enumerate_to_dev_stdout_on_a_pipe(square_matrix, square_doc, unbuffered):
+    # a pipe cannot be truncated; the summary line comes before the
+    # document whether or not stdout is buffered
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout here")
+    argv = ["enumerate", "--matrix", str(square_matrix), "--m-max", "2", "--out", "/dev/stdout"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kirchgraph.cli", *argv],
+        capture_output=True, env=_cli_env(PYTHONUNBUFFERED=unbuffered), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    line = b"2 graphs; 2 self-chiral; 0 chiral pairs\n"
+    assert proc.stdout == line + square_doc.read_bytes()
+
+
+def test_dev_stdout_into_a_closed_pipe_exits_141_quietly(tmp_path):
+    # `enumerate --out /dev/stdout | head -c 100`: the 2.2 MB document
+    # fills the pipe, and the reader closes it after 100 bytes
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout here")
+    matrix = tmp_path / "triangle.txt"
+    matrix.write_text("1 0 1\n0 1 1\n")
+    argv = ["enumerate", "--matrix", str(matrix), "--m-max", "4", "--out", "/dev/stdout"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "kirchgraph.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert head.startswith(b"1295 graphs; ")
+    assert (proc.returncode, err) == (EXIT_BROKEN_PIPE, b"")
