@@ -230,9 +230,8 @@ def parse_expression(text: str, graphs_by_id: dict, k: int):
                 raise CliError(f"offset {offset} needs {k} coordinates", EXIT_PARSE)
         else:
             offset = (0,) * k
-        placements.extend(
-            Placement(graphs_by_id[ref], offset, sign) for _ in range(coeff)
-        )
+        if coeff:
+            placements.append(Placement(graphs_by_id[ref], offset, sign * coeff))
         pos = match.end()
         first = False
     if not placements:

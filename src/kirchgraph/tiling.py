@@ -63,8 +63,8 @@ class FamilyConstructionError(TilingError):
 
 
 Placement = namedtuple("Placement", "graph offset sign")
-Placement.__doc__ = """One signed copy of ``graph``, its anchor at ``offset``;
-``sign`` is +1 (added) or -1 (removed)."""
+Placement.__doc__ = """Copies of ``graph``, their anchor at ``offset``; ``sign``
+is the signed copy count, a nonzero int (c added, -c removed)."""
 
 
 class TilingExpression(namedtuple("TilingExpression", "placements")):
@@ -78,9 +78,9 @@ class TilingExpression(namedtuple("TilingExpression", "placements")):
 
     def evaluate(self) -> VectorGraph:
         """The graph that ``add`` and ``subtract``, chained over the
-        placements from the empty graph, return: the same edges and
-        verdict, and the same exception at the same placement, since
-        ``_fold`` is that chain."""
+        placements from the empty graph, return, c copies counting as c
+        calls: the same edges and verdict; a placement fails, with a
+        TilingError, exactly when one of its calls would (``_fold``)."""
         if not self.placements:
             raise ValueError("empty expression")
         return _fold(VectorGraph.empty(self.placements[0].graph.system), self.placements)
@@ -105,10 +105,10 @@ _KIRCHHOFF = ("ok", "trivial")
 
 def _place(edges: dict, copies: list[int], g: VectorGraph, offset: Coord, sign: int,
            verified: bool) -> bool:
-    """Add (``sign`` 1) or remove (``sign`` -1) g's canonical form, its
-    anchor at ``offset``, to or from the edge multiset ``edges``;
-    ``copies`` counts the edges of each vector in it and moves along.
-    A removal raises NoEmbeddingAtOffset at the first edge it misses.
+    """Add (``sign`` c > 0) or remove (``sign`` -c) c copies of g's
+    canonical form, anchored at ``offset``, to or from the edge multiset
+    ``edges``; ``copies``, its edge count per vector, moves along.  A
+    removal raises NoEmbeddingAtOffset at the first edge it misses.
 
     Return True when a theorem gives the verdict: ``verified`` (the
     multiset before the move is Kirchhoff or empty), g's verdict is "ok"
@@ -136,7 +136,8 @@ def _place(edges: dict, copies: list[int], g: VectorGraph, offset: Coord, sign: 
 
 
 def _fold(start: VectorGraph, placements) -> VectorGraph:
-    """``start`` with each placement added or removed in turn.
+    """``start`` with each placement's copies added or removed at once,
+    in turn; a sign that is not a nonzero int raises ValueError.
 
     The running multiset folds into one edge dict through ``_place``.  A
     graph is built, on a copy of the dict, and checked only where
@@ -146,6 +147,13 @@ def _fold(start: VectorGraph, placements) -> VectorGraph:
     An "ok" verdict implies vector 2-connectivity: every row of
     N = [C; -qI] is nonzero (no zero row of C), so cycle vectors that
     span Null(R) cover every coordinate.
+
+    With R, the running graph, Kirchhoff or empty, c copies of G give
+    what c unit placements give: cut(R) +- c*cut(G) lies in Row(R)
+    exactly when cut(G) does, and a difference's support only shrinks as
+    copies go.  So edges, verdict and failure agree; the error may name
+    another key, or be NoEmbeddingAtOffset where a unit step would have
+    raised KirchhoffViolation.
     """
     system = start.system
     edges = dict(start._edges)
@@ -154,13 +162,14 @@ def _fold(start: VectorGraph, placements) -> VectorGraph:
     result = start
     for p in placements:
         _require_same_system(start, p.graph)
-        sign = 1 if p.sign > 0 else -1
+        if type(p.sign) is not int or not p.sign:
+            raise ValueError(f"sign {p.sign!r} is not a nonzero int")
         result = None
-        if not _place(edges, copies, p.graph, p.offset, sign, verified):
+        if not _place(edges, copies, p.graph, p.offset, p.sign, verified):
             result = VectorGraph._built(system, dict(edges))
             verdict = result.is_kirchhoff()
             if verdict.status not in _KIRCHHOFF:
-                context = "sum" if sign > 0 else "difference"
+                context = "sum" if p.sign > 0 else "difference"
                 raise KirchhoffViolation(f"{context} produced a non-Kirchhoff graph: {verdict}")
         verified = True
     if result is None:
@@ -398,9 +407,12 @@ def span_contains(
     always covers the most constrained key first, so two orders of the
     same placements rarely meet again and no state is memoized (on shear
     m=6 a memo of (demand, signs, budget) answered 38 of 2,796 lookups).
-    Placements found this way always reorder into a valid
-    add-then-subtract sequence: postponing subtractions only enlarges the
-    intermediate multisets their embeddings are checked against.
+    A "yes" is not evaluated again: the search returns only where
+    ``demand`` is empty, so the placements sum to the canonical target.
+    With the adds first, each subtraction then removes from the target
+    plus the copies not yet removed, so it embeds and keeps the target's
+    edge vectors; for Kirchhoff generators and target, every step is
+    Kirchhoff by the sum and difference theorems.
 
     The search deepens iteratively, fewest placements first, over only
     the totals that edge counts allow (``_placement_totals``): each copy
@@ -542,14 +554,6 @@ def span_contains(
     committed = [0] * len(generators)  # per-generator sign, 0 while unused
     nodes = 0
 
-    def apply_gen(placed, sign):
-        for key, pc in placed:
-            left = demand.get(key, 0) - sign * pc
-            if left:
-                demand[key] = left
-            else:
-                del demand[key]
-
     def search(budget, placements):
         nonlocal nodes
         nodes += 1
@@ -568,7 +572,12 @@ def span_contains(
         for gi, off, placed in opts:
             prev = committed[gi]
             committed[gi] = sign
-            apply_gen(placed, sign)
+            for pk, pc in placed:
+                left = demand.get(pk, 0) - sign * pc
+                if left:
+                    demand[pk] = left
+                else:
+                    del demand[pk]
             placements.append((gi, off, sign))
             res = search(budget - 1, placements)
             if res is not None:
@@ -588,17 +597,8 @@ def span_contains(
     del search  # it refers to itself; break the cycle
     if solution is None:
         return SpanResult("no_within_bounds", nodes=nodes)
-    adds = [p for p in solution if p[2] > 0]
-    subs = [p for p in solution if p[2] < 0]
-    expr = TilingExpression(
-        tuple(
-            Placement(generators[gi], off, sign)
-            for gi, off, sign in adds + subs
-        )
-    )
-    built = expr.evaluate()
-    if not built.equals_up_to_translation(target):
-        raise AssertionError("span search returned a non-matching expression")
+    solution.sort(key=lambda p: p[2] < 0)  # adds first, each side in search order
+    expr = TilingExpression(tuple(Placement(generators[gi], off, sign) for gi, off, sign in solution))
     return SpanResult("yes", expr, nodes)
 
 

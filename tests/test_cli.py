@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import kirchgraph.tiling as tiling
 from kirchgraph.cli import EXIT_BROKEN_PIPE, _SLICE, _write, main, parse_matrix_text, CliError
 from kirchgraph.document import build_document, document_to_json, parse_document
 from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
@@ -418,6 +419,24 @@ def test_tile_sum(square_doc, tmp_path, capsys):
 def test_tile_coefficient_stacks_copies(square_doc, capsys):
     assert main(["tile", "--doc", str(square_doc), "3*G0@(0,0)"]) == 0
     assert "m = 6" in capsys.readouterr().out
+
+
+def test_tile_places_a_coefficient_once(square_doc, capsys, monkeypatch):
+    # A term c*G@o is one placement of c copies: its cost does not grow
+    # with c.
+    signs = []
+    place = tiling._place
+
+    def recording(edges, copies, g, offset, sign, verified):
+        signs.append(sign)
+        return place(edges, copies, g, offset, sign, verified)
+
+    monkeypatch.setattr(tiling, "_place", recording)
+    assert main(["tile", "--doc", str(square_doc), "3*G0@(0,0)"]) == 0
+    assert signs == [3]
+    assert main(["tile", "--doc", str(square_doc), "1000000000000*G0 - 999999999999*G0"]) == 0
+    assert signs == [3, 10**12, -(10**12 - 1)]
+    assert capsys.readouterr().out == "result: ok; m = 6\nresult: ok; m = 2\n"
 
 
 def test_tile_bad_offset_exits_5(square_doc, capsys):

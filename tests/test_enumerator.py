@@ -23,6 +23,7 @@ from oracles import brute_force_kirchhoff_graphs, connected_kirchhoff_scan
 
 SQUARE = [[2, 0, 1, 1], [0, 2, 1, -1]]
 STEEP = [[2, 0, 1, 1], [0, 2, 3, 1]]
+SHEAR = [[1, 0, 2, 1], [0, 1, 1, 2]]
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
 REVERSED = [[1, 0, -1], [0, 1, -1]]  # the triangle with its third vector reversed
 CUBE = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
@@ -344,12 +345,32 @@ def test_triangle_graphs_form_a_chiral_pair():
     assert a.chiral().canonical_key() == b.canonical_key()
 
 
-def test_chiral_closure_of_output():
-    for sys, m in ((square_system(), 2), (triangle_system(), 1)):
-        graphs, _ = enumerate_kirchhoff(sys, SearchConfig(m_max=m))
-        ks = set(keys(graphs))
-        for g in graphs:
-            assert g.chiral().canonical_key() in ks
+@pytest.mark.parametrize(
+    "rows, m_max",
+    [
+        pytest.param(SQUARE, 2, id="square m<=2"),
+        pytest.param(TRIANGLE, 1, id="triangle m<=1"),
+        pytest.param(STEEP, 6, id="steep m<=6"),
+        pytest.param(SHEAR, 6, id="shear m<=6"),
+        *(
+            pytest.param(rows, m_max, id=name, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))
+            for rows, m_max, name in (
+                (TRIANGLE, 4, "triangle m<=4"),
+                (SQUARE, 5, "square m<=5"),
+                (CUBE, 2, "cube m<=2"),
+                (DECOMPOSABLE, 1, "decomposable m=1"),
+            )
+        ),
+    ],
+)
+def test_chiral_closure_of_output(rows, m_max):
+    # A complete census holds the mirror of each of its graphs.  Today's
+    # census misses the mirror of 398 of its 1,295 triangle m <= 4
+    # graphs, 2 of 25 on square m <= 5, 33 of 270 on cube m <= 2 and 12
+    # of 16 on decomposable m = 1; ROADMAP item 1 removes those marks.
+    graphs, _ = enumerate_kirchhoff(build_row_system(rows), SearchConfig(m_max=m_max))
+    ks = set(keys(graphs))
+    assert sum(g.chiral().canonical_key() not in ks for g in graphs) == 0
 
 
 def test_monotone_in_m_max():

@@ -277,6 +277,8 @@ def _square_empty():
                      "all graphs must be uniform", id="fundamental_sets non-uniform graph"),
         pytest.param(lambda: TilingExpression(()).evaluate(), "empty expression",
                      id="evaluate empty expression"),
+        *(pytest.param(lambda sign=sign: TilingExpression((Placement(square_pair()[0], (0, 0), sign),)).evaluate(),
+                       "is not a nonzero int", id=f"evaluate sign {sign}") for sign in (0, 2.5, True)),
         pytest.param(lambda: min_multiplicity(square_system(), 0), "m_limit must be >= 1",
                      id="min_multiplicity limit 0"),
         pytest.param(lambda: enumerate_bounded_cuts(square_system(), 0), "bound must be >= 1",
@@ -395,6 +397,33 @@ def test_evaluate_folds_the_chain_of_sums_and_differences():
     assert errors.count(KirchhoffViolation) == 3
     assert errors.count(ValueError) == 3
     assert outcome(chained, cases["everything taken away"])[:2] == ([], KirchhoffVerdict("trivial"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(SQUARE, 2), (TRIANGLE, 2)]), st.data())
+def test_a_placement_of_c_copies_is_c_unit_placements(system, data):
+    # Placement(g, o, +-c) gives the edges and verdict of c placements
+    # of sign +-1, and raises a TilingError exactly when they do.  A
+    # removal often takes copies of an earlier term, so that some of
+    # the expressions with removals evaluate.
+    g = census(*system)
+    offset = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        graph, off = g[data.draw(st.sampled_from(range(len(g))))], data.draw(offset)
+        sign = data.draw(st.sampled_from((1, -1))) if terms else 1
+        if sign < 0 and data.draw(st.booleans()):
+            graph, off, _ = data.draw(st.sampled_from(terms))
+        terms.append((graph, off, sign * data.draw(st.integers(1, 4))))
+    copies = TilingExpression(tuple(Placement(*t) for t in terms))
+    units = TilingExpression(
+        tuple(Placement(graph, off, 1 if c > 0 else -1) for graph, off, c in terms for _ in range(abs(c))))
+    got, want = outcome(TilingExpression.evaluate, copies), outcome(TilingExpression.evaluate, units)
+    if isinstance(want[0], type):
+        assert issubclass(want[0], tiling.TilingError), want
+        assert isinstance(got[0], type) and issubclass(got[0], tiling.TilingError), (got, want)
+    else:
+        assert got == want
 
 
 def test_subtract_with_a_non_kirchhoff_operand_is_verified():
@@ -792,6 +821,32 @@ def test_fundamental_sets_span_calls_keep_their_trees(monkeypatch):
         ((0, 2, 3), 1, "yes", 30, [(2, (0, 0), 1), (3, (1, -1), 1), (0, (1, 0), -1)]),
         ((1, 2, 3), 0, "yes", 74, [(3, (0, -1), 1), (2, (-1, 0), 1), (1, (-1, 0), -1)]),
     ]
+
+
+@pytest.mark.parametrize(
+    "rows, m_max, yes",
+    [(SHEAR, 6, 4), (CUBE, 1, 21), (SQUARE, 2, 0), (TRIANGLE, 2, 10), (SQUARE, 4, 9)],
+    ids=["shear m<=6", "cube m<=1", "square m<=2", "triangle m<=2", "square m<=4"],
+)
+def test_span_answers_evaluate_to_their_targets(monkeypatch, rows, m_max, yes):
+    # span_contains does not evaluate its answer: a "yes" rests on the
+    # search's zero-demand exit.  Each "yes" that fundamental_sets gets
+    # must evaluate to its target up to translation.  Square m <= 2 is
+    # covered by its two members, with no span call.
+    answers = []
+    span = tiling.span_contains
+
+    def recording(gens, target, *args):
+        res = span(gens, target, *args)
+        if res.contained:
+            answers.append((res.expression, target))
+        return res
+
+    monkeypatch.setattr(tiling, "span_contains", recording)
+    fundamental_sets(census(rows, m_max))
+    assert len(answers) == yes
+    for expr, target in answers:
+        assert expr.evaluate().equals_up_to_translation(target)
 
 
 def test_expression_evaluation_checks_embeddings():
