@@ -209,31 +209,27 @@ def parse_expression(text: str, graphs_by_id: dict, k: int):
 
     placements = []
     pos = 0
-    first = True
     while pos < len(text):
         match = TERM_RE.match(text, pos)
         if not match or match.end() == pos:
             raise CliError(f"cannot parse expression at: {text[pos:]!r}", EXIT_PARSE)
-        sign_tok = match.group("sign")
-        if first and sign_tok == "-":
+        sign, coeff, ref, off = match.group("sign", "coeff", "ref", "off")
+        if pos == 0 and sign == "-":
             raise CliError("expression cannot start with a subtraction", EXIT_PARSE)
-        if not first and sign_tok is None:
-            raise CliError(f"missing +/- before {match.group('ref')}", EXIT_PARSE)
-        sign = -1 if sign_tok == "-" else 1
-        coeff = int(match.group("coeff") or 1)
-        ref = match.group("ref")
+        if pos and sign is None:
+            raise CliError(f"missing +/- before {ref}", EXIT_PARSE)
         if ref not in graphs_by_id:
             raise CliError(f"unknown graph reference {ref}", EXIT_PARSE)
-        if match.group("off"):
-            offset = tuple(int(x) for x in match.group("off").split(","))
-            if len(offset) != k:
-                raise CliError(f"offset {offset} needs {k} coordinates", EXIT_PARSE)
-        else:
-            offset = (0,) * k
+        try:
+            coeff = int(coeff or 1)
+            offset = tuple(int(x) for x in off.split(",")) if off else (0,) * k
+        except ValueError as exc:  # more digits than int() reads (4,300 by default)
+            raise CliError(f"cannot read a number in the {ref} term: {exc}", EXIT_PARSE) from None
+        if len(offset) != k:
+            raise CliError(f"offset {offset} needs {k} coordinates", EXIT_PARSE)
         if coeff:
-            placements.append(Placement(graphs_by_id[ref], offset, sign * coeff))
+            placements.append(Placement(graphs_by_id[ref], offset, -coeff if sign == "-" else coeff))
         pos = match.end()
-        first = False
     if not placements:
         raise CliError("empty expression", EXIT_PARSE)
     return TilingExpression(tuple(placements))

@@ -13,7 +13,6 @@ elimination, and ``Fraction``s appear only at input and in ``rref``'s rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import product
 from math import gcd, lcm
 
@@ -149,18 +148,19 @@ class RowSystem:
     def __init__(self, n: int, k: int, q: int, R, C, N):
         self.n, self.k, self.q, self.R, self.C, self.N = n, k, q, R, C, N
         self.columns = tuple(zip(*R))
-        self._in_row = _Filled(partial(_orthogonal, n, tuple(zip(*N))))
 
     def contains_in_row_space(self, x) -> bool:
-        """True iff x is a rational combination of the rows of R (N^T x = 0).
+        """True iff x is a rational combination of the rows of R (N^T x = 0)."""
+        return _orthogonal(self.n, zip(*self.N), x)
 
-        The answer is memoized by ``tuple(x)``: the graphs of one system
-        meet few distinct cuts (the 1,295 of triangle m = 4 meet 40), and
-        the primality search and the Kirchhoff check ask about the same
-        ones again and again.  The memo lives as long as the system and
-        holds one entry per distinct cut asked about.
-        """
-        return self._in_row[tuple(x)]
+    def syndrome_steps(self, copies: int) -> list[int]:
+        """For each vector i, row i of N packed in the balanced base
+        B = 2b + 1, b = copies * max|N|: the sum over d of N[i][d] * B^d.
+        For integer x with sum |x_i| <= copies, N^T x has digits in [-b, b],
+        so sum x_i * step_i, its pack, is 0 iff x lies in Row(R); no step
+        is 0.  Built directly, not by a ``vgraph.Radix``: half the cost."""
+        base = 2 * copies * max(abs(x) for row in self.N for x in row) + 1
+        return [sum(x * base**d for d, x in enumerate(row)) for row in self.N]
 
     def contains_in_null_space(self, x) -> bool:
         """True iff R x = 0."""

@@ -236,20 +236,20 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
     """Decide whether the edge multiset splits into two nonempty parts
     that each satisfy both Kirchhoff conditions.
 
-    Depth-first split with propagation: edges are assigned part by part
-    in vertex order, and as soon as a vertex has all incident edges
-    assigned, both parts' cuts there must lie in the row space or the
-    branch dies.  The graph's own cut lies there and is the sum of the
-    parts' cuts, so only part A's cut is tested.  At a leaf every vertex
-    has passed that test, so a part is Kirchhoff iff it uses every edge
-    vector (see ``VectorGraph.is_kirchhoff``).  A running count of part
-    A's copies of each vector decides that: both parts are Kirchhoff iff
-    every vector is in A and every vector is left over for B, which also
-    makes both parts nonempty.  Parts are built only for the witness.
-    The first edge is pinned to part A to break the A/B symmetry.
-    Exhausting the tree proves primality; ``budget`` caps the node count,
-    returning "unknown" when exceeded.  The verdict reports the nodes
-    spent.
+    Depth-first split: each key in turn gets its size in part A, and once
+    a vertex's last key is assigned, part A's cut there must lie in Row(R)
+    (then so does part B's, the graph's minus A's) or the branch dies.
+    Part A's cuts are kept packed, one integer per vertex, which is 0 iff
+    the cut lies in Row(R) (``RowSystem.syndrome_steps``).  Size a of a key
+    of vector i moves it by +-a * step_i, and step_i is not 0, so at most
+    one size closes a vertex: ``divmod`` finds it, and only it is tried.
+    So every size tried is a node, and ``budget`` bounds the work.  At a
+    leaf a part is Kirchhoff iff it uses every edge vector (see
+    ``VectorGraph.is_kirchhoff``), so both are iff each vector is in A and
+    left over for B, which makes both nonempty.  The first edge is pinned
+    to part A to break the A/B symmetry.  Exhausting the tree proves
+    primality; past ``budget`` nodes the status is "unknown".  The verdict
+    reports the nodes spent; parts are built only for the witness.
     """
     if graph.is_empty:
         raise ValueError("primality is defined for nonempty graphs")
@@ -257,27 +257,23 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
         raise ValueError("primality is defined for Kirchhoff graphs")
 
     system = graph.system
-    n = system.n
     keys = graph.edge_items()
-    vertices = list(graph.vertices)
-    vindex = {v: i for i, v in enumerate(vertices)}
+    vindex = {v: i for i, v in enumerate(graph.vertices)}
     heads = graph._heads
+    steps = system.syndrome_steps(graph.total_edge_instances())
     # the (tail, head) vertex indices of each key
     key_ends = [(vindex[key[0]], vindex[heads[key]]) for key, _ in keys]
 
-    # the last key touching each vertex: its cuts are final after it
-    last_key_at: dict[int, int] = {}
-    for ki, ends in enumerate(key_ends):
-        for vi in ends:
-            last_key_at[vi] = ki
+    # the ends, with their signs, that each key is the last to touch
+    last_key_at = {vi: ki for ki, ends in enumerate(key_ends) for vi in ends}
+    closing = [[(vi, sign) for vi, sign in zip(ends, (1, -1)) if last_key_at[vi] == ki]
+               for ki, ends in enumerate(key_ends)]
 
     totals = graph.multiplicity().counts
-    copies_a = [0] * n  # part A's copies of each vector
-    cuts_a = [[0] * n for _ in vertices]
+    copies_a = [0] * system.n  # part A's copies of each vector
+    synd = [0] * len(vindex)  # part A's packed cut at each vertex
     assigned: list[int] = [0] * len(keys)
     nodes = 0
-
-    in_row = system.contains_in_row_space
 
     def search(ki: int) -> bool:
         nonlocal nodes
@@ -287,23 +283,23 @@ def is_prime(graph: VectorGraph, budget: int = DEFAULT_PRIME_BUDGET) -> Primalit
         if ki == len(keys):
             return all(0 < a < t for a, t in zip(copies_a, totals))
         (_, idx), count = keys[ki]
-        ends = key_ends[ki]
-        low = 1 if ki == 0 else 0  # pin a copy of the first edge into part A
-        for a in range(low, count + 1):
+        tail, head = key_ends[ki]
+        step = steps[idx]
+        sizes = range(1 if ki == 0 else 0, count + 1)  # pin a copy of the first edge into part A
+        for vi, sign in closing[ki]:
+            a, r = divmod(-sign * synd[vi], step)
+            sizes = () if r or a not in sizes else (a,)
+        for a in sizes:
             assigned[ki] = a
-            if a:
-                cuts_a[ends[0]][idx] += a
-                cuts_a[ends[1]][idx] -= a
-                copies_a[idx] += a
-            # part B's cut is the graph's (in Row(R)) minus part A's, so it
-            # lies in Row(R) exactly when part A's does
-            if all(last_key_at[vi] != ki or in_row(tuple(cuts_a[vi])) for vi in ends):
-                if search(ki + 1):
-                    return True
-            if a:
-                cuts_a[ends[0]][idx] -= a
-                cuts_a[ends[1]][idx] += a
-                copies_a[idx] -= a
+            moved = a * step
+            synd[tail] += moved
+            synd[head] -= moved
+            copies_a[idx] += a
+            if search(ki + 1):
+                return True
+            synd[tail] -= moved
+            synd[head] += moved
+            copies_a[idx] -= a
         return False
 
     try:

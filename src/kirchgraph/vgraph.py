@@ -224,18 +224,21 @@ class VectorGraph:
         """Check both conditions: every vertex cut in Row(R), and the
         cycle vectors spanning all of Null(R).
 
-        Given the first, the second is a count.  Let phi send each edge
-        to e_i, i its vector's index, and let S = phi(edge space), the
-        span of the e_i whose vector occurs.  The edge space is the cycle
-        space plus the span of the vertex stars, so S = phi(cycles) +
-        span(cuts).  Every edge has head - tail = column i of R, so
-        R chi = 0 for each closed walk: phi(cycles) lies in Null(R), the
-        cuts lie in Row(R), and the two meet only in 0, so phi(cycles) is
-        the intersection of S with Null(R).  No coordinate vanishes on
-        all of Null(R) (no row of N = [C; -qI] is zero), so the cycle
-        vectors span Null(R) iff every edge vector occurs.  Otherwise
-        their rank is the dimension of that intersection: the number of
-        vectors present minus the rank of their columns.
+        The first is one integer per vertex, the sum of +-count * step_i over
+        its edges, the steps of ``RowSystem.syndrome_steps`` for the edge
+        count, which bounds every cut: 0 iff the cut lies in Row(R).  The first
+        vertex, in ``vertices`` order, where it is not 0 is reported.  Given
+        the first, the second is a count.  Let phi send each edge to e_i, i its
+        vector's index, and let S = phi(edge space), the span of the e_i whose
+        vector occurs.  The edge space is the cycle space plus the span of the
+        vertex stars, so S = phi(cycles) + span(cuts).  Every edge has
+        head - tail = column i of R, so R chi = 0 for each closed walk:
+        phi(cycles) lies in Null(R), the cuts lie in Row(R), and the two meet
+        only in 0, so phi(cycles) is the intersection of S with Null(R).  No
+        coordinate vanishes on all of Null(R) (no row of N = [C; -qI] is
+        zero), so the cycle vectors span Null(R) iff every edge vector
+        occurs.  Otherwise their rank is the dimension of that intersection:
+        the number of vectors present minus the rank of their columns.
 
         The graph is immutable, so the verdict is computed once and
         cached.  A graph that this package derived by a theorem (the
@@ -250,10 +253,15 @@ class VectorGraph:
         if self.is_empty:
             return KirchhoffVerdict("trivial")
         sysm = self.system
-        for v in self.vertices:
-            cut = self._cuts[v]
-            if not sysm.contains_in_row_space(cut):
-                return KirchhoffVerdict("bad_vertex", vertex=v, cut=cut)
+        steps = sysm.syndrome_steps(self.total_edge_instances())
+        synd = dict.fromkeys(self.vertices, 0)
+        for key, head in self._heads.items():
+            step = self._edges[key] * steps[key[1]]
+            synd[key[0]] += step
+            synd[head] -= step
+        for v, x in synd.items():
+            if x:
+                return KirchhoffVerdict("bad_vertex", vertex=v, cut=self._cuts[v])
         present = sorted({idx for _, idx in self._edges})
         if len(present) == sysm.n:
             return KirchhoffVerdict("ok")

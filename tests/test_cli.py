@@ -469,6 +469,26 @@ def test_tile_parse_errors(square_doc, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="int() reads any length here"
+)
+def test_tile_number_past_the_digit_limit_exits_2(square_doc, capsys):
+    # int() refuses more digits than the interpreter's limit; such a
+    # coefficient or offset is a parse error, and one at the limit is read
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 700)
+    for expression in (f"{long}*G0", f"1*G0@({long},0)", f"1*G0 - 1*G1@(0,-{long})"):
+        assert main(["tile", "--doc", str(square_doc), expression]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot read a number in the G")
+        assert err.count("\n") == 1
+    at_limit = "1" * limit
+    assert main(["tile", "--doc", str(square_doc), f"{at_limit}*G0"]) == 0
+    assert capsys.readouterr().out == f"result: ok; m = {2 * int(at_limit)}\n"
+    assert main(["tile", "--doc", str(square_doc), f"1*G0@({at_limit},0)"]) == 0
+    assert capsys.readouterr().out == "result: ok; m = 2\n"
+
+
 # -- render ----------------------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -215,7 +217,6 @@ def test_null_space_membership_examples():
 def test_membership_length_mismatch():
     sys = square_system()
     for _ in range(2):
-        # a fill that raises stores nothing, so the cut raises again
         with pytest.raises(ValueError):
             sys.contains_in_row_space([1, 0])
     assert sys.contains_in_row_space([1, 1, 1, 0])
@@ -238,12 +239,23 @@ def test_filled_calls_its_fill_once_per_key():
 
 def test_membership_agrees_with_direct_solve():
     rng = random.Random(20260811)
-    for sys in (square_system(), triangle_system(), build_row_system([[2, 0, 1, 1], [0, 2, 3, 1]])):
+    # the last N has the row (2, -1): in a base of copies * max|N| rather
+    # than twice that plus 1, e_0 would pack to 0
+    for sys in (
+        square_system(),
+        triangle_system(),
+        build_row_system([[2, 0, 1, 1], [0, 2, 3, 1]]),
+        build_row_system([[1, 0, 2, -1], [0, 1, 1, 1]]),
+    ):
         ncols = tuple(zip(*sys.N))
         for _ in range(1000):
             x = [rng.randint(-5, 5) for _ in range(sys.n)]
             assert sys.contains_in_row_space(x) == solve_membership(sys.R, x)
             assert sys.contains_in_null_space(x) == solve_membership(ncols, x)
+        # the packed N^T x, with the steps for the tightest copy bound
+        for x in product(range(-2, 3), repeat=sys.n):
+            steps = sys.syndrome_steps(sum(map(abs, x)))
+            assert (sum(map(mul, x, steps)) == 0) == solve_membership(sys.R, x)
 
 
 # -- span_rank ----------------------------------------------------------

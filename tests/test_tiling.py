@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import kirchgraph.tiling as tiling
 from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff, min_multiplicity
-from kirchgraph.exactalg import build_row_system, enumerate_bounded_cuts
+from kirchgraph.exactalg import RowSystem, build_row_system, enumerate_bounded_cuts
 from kirchgraph.tiling import (
     FamilyConstructionError,
     KirchhoffViolation,
@@ -517,6 +517,42 @@ def test_budget_exhaustion_returns_unknown():
     verdict = is_prime(grid_of_four(f1), budget=5)
     assert verdict.status == "unknown"
     assert verdict.nodes == 6  # the node over budget stops the search
+
+
+def copies_of(graph, count):
+    return TilingExpression((Placement(graph, (0, 0), count),)).evaluate()
+
+
+def test_split_search_tries_one_closing_size_without_row_space_calls(monkeypatch):
+    # At a key that closes a vertex the one size that can pass is solved
+    # for, with no row-space call; testing every size of each key would
+    # make over 30,000 calls on 10**4 copies.
+    spread, _ = square_pair()
+    graph = copies_of(spread, 10**4)
+    graph.is_kirchhoff()
+    calls = []
+    original = RowSystem.contains_in_row_space
+
+    def recording(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(RowSystem, "contains_in_row_space", recording)
+    verdict = is_prime(graph)
+    assert (verdict.status, verdict.nodes) == ("composite", 12)
+    assert calls == []
+
+
+def test_split_search_cost_does_not_grow_with_edge_counts():
+    spread, doubled = square_pair()
+    for count in (2, 10**6, 10**12):
+        verdict = is_prime(copies_of(spread, count))
+        assert (verdict.status, verdict.nodes) == ("composite", 12)
+        part_a, part_b = verdict.witness
+        assert part_a == spread and part_b == copies_of(spread, count - 1)
+    # every size tried is a node, so the budget bounds the work
+    verdict = is_prime(copies_of(doubled, 10**12), budget=1000)
+    assert (verdict.status, verdict.nodes) == ("unknown", 1001)
 
 
 def assert_census_primality(rows, m_max, total, primes, nodes):

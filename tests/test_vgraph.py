@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from kirchgraph.enumerator import SearchConfig, enumerate_kirchhoff
 from kirchgraph.exactalg import build_row_system, span_rank
 from kirchgraph.vgraph import KirchhoffVerdict, VectorGraph
-from oracles import EdgeInstance, cycle_basis, cycle_vector, translation_keys
+from oracles import EdgeInstance, cycle_basis, cycle_vector, solve_membership, translation_keys
 
 SQUARE = [[2, 0, 1, 1], [0, 2, 1, -1]]
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
+CUBE = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 # Two triangle planes that share no edge vectors.
 DECOMPOSABLE = [[1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 1]]
 
@@ -273,6 +274,39 @@ def test_edge_vector_count_matches_the_walks_on_random_multisets(which, data):
     g = VectorGraph(sys, [((base + x, y), idx, c) for base, x, y, idx, c in edges])
     assert g.is_kirchhoff() == walk_verdict(g)
     assert g.is_vector_2_connected() == walk_coverage(g)
+
+
+def solved_verdict(g):
+    """The verdict with each cut, in ``vertices`` order, tested by a
+    rational solve; past the cuts, the walks decide as in ``walk_verdict``."""
+    for v in g.vertices:
+        cut = g.vertex_cut(v)
+        if not solve_membership(g.system.R, cut):
+            return KirchhoffVerdict("bad_vertex", vertex=v, cut=cut)
+    return walk_verdict(g)
+
+
+@pytest.mark.parametrize("rows, m_max", [(TRIANGLE, 4), (CUBE, 2)], ids=["triangle-m4", "cube-m2"])
+def test_packed_cut_verdicts_match_a_rational_solve(rows, m_max):
+    # Census graphs as they are, and with one count raised, one key
+    # dropped, or one count multiplied by 10**12: the packed cuts name the
+    # vertex and cut that a solve over the rationals finds first.  A
+    # change to one key moves a cut by a multiple of one e_i, never in
+    # Row(R), so every changed graph has a bad vertex.
+    sys = build_row_system(rows)
+    graphs, _ = enumerate_kirchhoff(sys, SearchConfig(m_max=m_max))
+    statuses = []
+    for gi, g in enumerate(graphs):
+        items = g.edge_items()
+        key, count = items[gi % len(items)]
+        for changed in (count, count + 1, 0, count * 10**12):
+            edges = dict(items)
+            edges[key] = changed
+            fresh = VectorGraph(sys, edges)
+            verdict = fresh.is_kirchhoff()
+            assert verdict == solved_verdict(fresh)
+            statuses.append(verdict.status)
+    assert statuses == ["ok", "bad_vertex", "bad_vertex", "bad_vertex"] * len(graphs)
 
 
 # -- Kirchhoff conditions -----------------------------------------------------
