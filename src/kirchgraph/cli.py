@@ -232,7 +232,27 @@ def parse_expression(text: str, graphs_by_id: dict, k: int):
         pos = match.end()
     if not placements:
         raise CliError("empty expression", EXIT_PARSE)
+    _check_printable(placements)
     return TilingExpression(tuple(placements))
+
+
+def _check_printable(placements) -> None:
+    """Refuse, before any work, an expression whose run could meet a number
+    longer than ``str()`` prints (4,300 digits by default).  A count in any
+    partial sum, at a key, in a cut or per vector, is at most the sum of
+    |c| times the placed graph's count of that vector.  Every vertex lies
+    in the box that holds the placed copies, so a coordinate, of a vertex or
+    of its offset from the least vertex, is at most a corner's or the box's
+    extent in size."""
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    placed = [p for p in placements if not p.graph.is_empty]
+    counts = [[abs(p.sign) * c for c in p.graph.multiplicity().counts] for p in placed]
+    lows = [[o + min(c) for o, c in zip(p.offset, zip(*p.graph.vertices))] for p in placed]
+    highs = [[o + max(c) for o, c in zip(p.offset, zip(*p.graph.vertices))] for p in placed]
+    sides = zip(map(min, zip(*lows)), map(max, zip(*highs)))
+    biggest = max([*map(sum, zip(*counts)), *(max(-a, b, b - a) for a, b in sides)], default=0)
+    if digits and biggest >= 10 ** digits:
+        raise CliError(f"the result could hold a number of more than {digits} digits", EXIT_PARSE)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -400,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="find all graphs up to a multiplicity bound")
     add_matrix_opts(p)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help="no effect; kept for scripts that pass it")
     p.add_argument("--m-max", type=_positive_int, required=True)
     p.add_argument("--out", help="write the JSON document here")
     p.add_argument("--classify-prime", action="store_true")

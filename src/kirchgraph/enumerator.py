@@ -65,22 +65,9 @@ copies of one vector, at most counts[i] <= m_max in size, so changing a
 vertex's cut by d e_i subtracts d * place[i].  ``Search._emit`` keeps
 each graph's canonical key packed, and ``Search.unpack_key`` unpacks it
 once per distinct graph.
-
-Parallel search.  The anchor cuts root disjoint subtrees, so with
-``workers`` > 1 the process forks that many less one workers, each a
-copy of its ``Search``, and searches as the first of them itself.  Every
-worker takes the cuts one task at a time, in list order, and the parent
-merges the packed keys and the counters the others send back.  The
-subtrees are far from even (two of the triangle m = 4 anchors hold
-21,253 of its 23,635 nodes), so a free worker taking the next cut keeps
-both busy where a fixed split would not.
 """
 
 from __future__ import annotations
-
-import marshal
-import os
-import signal
 
 # kept for SearchConfig, which callers copy with dataclasses.replace, and the mutable SearchStats
 from dataclasses import dataclass
@@ -93,7 +80,8 @@ from kirchgraph.vgraph import KirchhoffVerdict, Radix, VectorGraph
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds and toggles for one enumeration run."""
+    """Bounds and toggles for one enumeration run.  ``workers`` (>= 1) is
+    accepted and ignored: the search runs in one process."""
 
     m_max: int
     prune_negative_sum: bool = True
@@ -115,13 +103,6 @@ class SearchStats:
     candidates: int = 0
     graphs_found: int = 0
     complete: bool = True
-
-    def merge(self, other: "SearchStats") -> None:
-        self.nodes_expanded += other.nodes_expanded
-        self.prunes_multiplicity += other.prunes_multiplicity
-        self.prunes_negative_sum += other.prunes_negative_sum
-        self.candidates += other.candidates
-        self.complete = self.complete and other.complete
 
 
 class Search:
@@ -391,78 +372,6 @@ class Search:
         return tuple(((coords[code // n], code % n), c) for code, c in packed)
 
 
-# -- the worker processes ---------------------------------------------------
-#
-# Workers are forked, so each starts from the parent's Search, built and not
-# yet run.  The anchor indices wait in one pipe as 4-byte records; a pipe
-# read of one record is atomic, so each worker, the parent among them, takes
-# the next task alone.  A forked worker sends its packed keys and counters
-# back through a pipe of its own and leaves with ``os._exit``, so no exit
-# hook runs and no stdout buffer it inherited is flushed twice.  The package
-# starts no thread, so forking it is safe.
-
-
-def _take_tasks(searcher: Search, tasks: int) -> None:
-    while record := os.read(tasks, 4):
-        searcher.run([int.from_bytes(record, "little")])
-
-
-def _forked_worker(searcher: Search, feed: int, tasks: int, into: int) -> None:
-    """Search tasks until the parent has closed ``feed`` and the pipe is
-    empty, send the result through ``into`` and exit; a failure prints
-    its traceback and exits 1."""
-    code = 1
-    try:
-        os.close(feed)
-        _take_tasks(searcher, tasks)
-        with open(into, "wb") as results:
-            marshal.dump((searcher.found, vars(searcher.stats)), results)
-        code = 0
-    except Exception:  # an interrupt ends a worker quietly; the parent reports it
-        import traceback
-
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(code)
-
-
-def _fork_search(searcher: Search, workers: int) -> None:
-    """Search every anchor cut with ``workers`` processes, this one
-    included, and merge the results into ``searcher``."""
-    tasks, feed = os.pipe()
-    children = {}  # pid: the read end of its result pipe
-    try:
-        with open(feed, "wb") as records:
-            for _ in range(workers - 1):
-                out, into = os.pipe()
-                pid = os.fork()
-                if not pid:
-                    _forked_worker(searcher, feed, tasks, into)
-                os.close(into)
-                children[pid] = open(out, "rb")
-            # after the forks, so that a list longer than the pipe holds is
-            # read while it is written
-            count = len(searcher.anchor_cuts)
-            records.write(b"".join(i.to_bytes(4, "little") for i in range(count)))
-        _take_tasks(searcher, tasks)
-        for pid, results in list(children.items()):
-            with results:
-                data = results.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if code:
-                raise RuntimeError(f"search worker {pid} exited with status {code}")
-            found, stats = marshal.loads(data)
-            searcher.found |= found
-            searcher.stats.merge(SearchStats(**stats))
-    finally:
-        os.close(tasks)
-        for pid, results in children.items():
-            results.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def enumerate_kirchhoff(
     sys: RowSystem, config: SearchConfig
 ) -> tuple[list[VectorGraph], SearchStats]:
@@ -475,22 +384,10 @@ def enumerate_kirchhoff(
     plus run statistics.  ``stats.complete`` is False when a node limit
     truncated the search, in which case the result may be missing graphs.
 
-    With ``workers`` > 1, capped at the number of anchor cuts, this
-    process forks the other workers and searches beside them; the cuts go
-    out one per task, in list order, to whichever worker is free, and this
-    process merges the packed keys and counters the others send back.
-    Graphs, their order and every counter are the same for every worker
-    count.  A search with a node limit runs in this process alone, so it
-    truncates at the same node of the serial order, and so does every
-    search where ``os.fork`` is missing.  A worker that exits non-zero
-    raises ``RuntimeError``; no worker outlives the call.
+    The search runs in this process; ``config.workers`` changes nothing.
     """
     searcher = Search(sys, config)
-    workers = min(config.workers, len(searcher.anchor_cuts))
-    if workers <= 1 or config.node_limit is not None or not hasattr(os, "fork"):
-        searcher.run(range(len(searcher.anchor_cuts)))
-    else:
-        _fork_search(searcher, workers)
+    searcher.run(range(len(searcher.anchor_cuts)))
     # the module docstring proves every emitted graph Kirchhoff
     ok = KirchhoffVerdict("ok")
     graphs = [
@@ -504,8 +401,7 @@ def enumerate_kirchhoff(
 
 def min_multiplicity(sys: RowSystem, m_limit: int) -> int | None:
     """Smallest m <= m_limit with a nonempty enumeration, or None.  Each
-    m's search, in this process, stops at the first anchor cut that
-    yields a graph."""
+    m's search stops at the first anchor cut that yields a graph."""
     if m_limit < 1:
         raise ValueError("m_limit must be >= 1")
     for m in range(1, m_limit + 1):

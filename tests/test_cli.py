@@ -169,9 +169,22 @@ def test_byte_identical_output_across_runs_and_workers(tmp_path, square_matrix):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_enumerate_forks_no_worker(tmp_path, square_matrix, monkeypatch):
+    # the search runs in one process whatever --workers says
+    argv = ["enumerate", "--matrix", str(square_matrix), "--m-max", "2", "--out"]
+    assert main(argv + [str(tmp_path / "w1.json"), "--workers", "1"]) == 0
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(argv + [str(tmp_path / "w2.json"), "--workers", "2"]) == 0
+    assert (tmp_path / "w2.json").read_bytes() == (tmp_path / "w1.json").read_bytes()
+
+
 def test_node_limit_truncates_alike_at_every_worker_count(tmp_path, square_matrix):
-    # A node-limited search runs in one process, so the limit falls on the
-    # same node of the serial order whatever --workers says.
+    # The search runs in one process, so the limit falls on the same node
+    # of its order whatever --workers says.
     docs = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}.json"
@@ -487,6 +500,31 @@ def test_tile_number_past_the_digit_limit_exits_2(square_doc, capsys):
     assert capsys.readouterr().out == f"result: ok; m = {2 * int(at_limit)}\n"
     assert main(["tile", "--doc", str(square_doc), f"1*G0@({at_limit},0)"]) == 0
     assert capsys.readouterr().out == "result: ok; m = 2\n"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="str() prints any length here"
+)
+def test_tile_result_past_the_digit_limit_exits_2(square_doc, tmp_path, capsys):
+    # Numbers that int() reads but that could lead to one str() cannot
+    # print: a multiplicity 2 * (10**limit - 1), a vertex at 10**limit that
+    # a failed subtraction would name, and a canonical coordinate 10**limit
+    # from the least vertex.  Each is refused before any work; the first
+    # and last raised ValueError from str() after the work.
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * limit
+    out = tmp_path / "out.json"
+    for expression in (f"{nines}*G0", f"1*G0@({nines},0)", f"1*G0 + 1*G1@(-{nines},0)"):
+        argv = ["tile", "--doc", str(square_doc), expression, "--check-prime", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: the result could hold a number of more than {limit} digits\n"
+        )
+        assert not out.exists()
+    # a coefficient of as many digits whose multiplicity fits is read and printed
+    fits = "4" * limit
+    assert main(["tile", "--doc", str(square_doc), f"{fits}*G0"]) == 0
+    assert capsys.readouterr().out == f"result: ok; m = {2 * int(fits)}\n"
 
 
 # -- render ----------------------------------------------------------------------------

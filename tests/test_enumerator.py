@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 from functools import lru_cache
 from itertools import product
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kirchgraph.enumerator as enumerator
+from kirchgraph.cli import main
 from kirchgraph.enumerator import (
     Search,
     SearchConfig,
@@ -17,6 +19,7 @@ from kirchgraph.enumerator import (
     min_multiplicity,
 )
 from kirchgraph.exactalg import build_row_system
+from kirchgraph.tiling import is_prime
 from kirchgraph.vgraph import Radix, VectorGraph
 
 from oracles import brute_force_kirchhoff_graphs, connected_kirchhoff_scan
@@ -495,6 +498,63 @@ def test_deterministic_across_runs_and_workers():
     again = keys(enumerate_kirchhoff(sys, SearchConfig(m_max=2))[0])
     parallel = keys(enumerate_kirchhoff(sys, SearchConfig(m_max=2, workers=2))[0])
     assert ref == again == parallel
+
+
+CENSUSES = [(TRIANGLE, 4, True), (SQUARE, 5, False)]
+
+
+@pytest.mark.parametrize("rows, m_max, classify", CENSUSES)
+def test_census_is_the_same_at_every_worker_count(tmp_path, rows, m_max, classify):
+    # --workers is accepted and changes nothing: graphs, counters,
+    # primality statuses and document bytes
+    system = build_row_system(rows)
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    runs = []
+    for workers in (1, 2, 3):
+        graphs, stats = enumerate_kirchhoff(system, SearchConfig(m_max=m_max, workers=workers))
+        out = tmp_path / f"w{workers}.json"
+        argv = ["enumerate", "--matrix", str(matrix), "--m-max", str(m_max)]
+        argv += ["--workers", str(workers), "--out", str(out)]
+        assert main(argv + ["--classify-prime"] * classify) == 0
+        text = out.read_text()
+        primes = [entry["prime"] for entry in json.loads(text)["graphs"]]
+        runs.append(([g.canonical_key() for g in graphs], stats, primes, text))
+    assert runs[0] == runs[1] == runs[2]
+    if classify:
+        # the document numbers the graphs in census order
+        graphs = enumerate_kirchhoff(system, SearchConfig(m_max=m_max))[0]
+        assert runs[0][2] == [is_prime(g).status for g in graphs]
+        assert "prime" in runs[0][2] and "composite" in runs[0][2]
+
+
+@pytest.mark.parametrize("rows, m_max, _", CENSUSES)
+def test_anchor_tasks_partition_the_search(rows, m_max, _):
+    # One run per anchor cut, as the bench tracer makes: the per-anchor
+    # searches add up to the whole one, node for node and graph for graph.
+    system = build_row_system(rows)
+    config = SearchConfig(m_max=m_max)
+    graphs, stats = enumerate_kirchhoff(system, config)
+    nodes, found = 0, set()
+    for i in range(len(Search(system, config).anchor_cuts)):
+        search = Search(system, config)
+        search.run([i])
+        nodes += search.stats.nodes_expanded
+        found |= search.found
+    assert nodes == stats.nodes_expanded
+    assert len(found) == len(graphs) == stats.graphs_found
+
+
+def test_sorted_packed_keys_unpack_in_tuple_key_order():
+    system = build_row_system(TRIANGLE)
+    search = Search(system, SearchConfig(m_max=4))
+    search.run(range(len(search.anchor_cuts)))
+    assert len(search.found) == 1295
+    unpacked = [search.unpack_key(key) for key in sorted(search.found)]
+    assert unpacked == sorted(unpacked)
+    # each unpacks to the canonical key that a checked graph computes
+    for key in unpacked:
+        assert VectorGraph(system, dict(key)).canonical_key() == key
 
 
 def test_node_limit_flags_incomplete():

@@ -82,7 +82,7 @@ def test_document_and_tiling_commands_do_not_load_dataclasses(tmp_path):
 
 
 def test_no_run_loads_multiprocessing(tmp_path):
-    # workers are forked with os.fork, with or without a node limit
+    # the search runs in this process at any --workers, with or without a node limit
     matrix = tmp_path / "triangle.txt"
     matrix.write_text("1 0 1\n0 1 1\n")
     doc = tmp_path / "doc.json"
