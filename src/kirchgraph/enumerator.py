@@ -105,6 +105,10 @@ class SearchStats:
     complete: bool = True
 
 
+class _NodeLimit(Exception):
+    """Raised past ``SearchConfig.node_limit``; ``Search.run`` catches it."""
+
+
 class Search:
     """Incremental search state: the partial graph plus its to-do list.
 
@@ -116,9 +120,10 @@ class Search:
     ``run`` visits the root, whose targets are anchor cuts.  Useful
     directly when a test wants to poke one assignment at a time;
     ``enumerate_kirchhoff`` is the high-level entry point.  A node is
-    counted by its parent, with its prunes, right after the move that
-    makes it; the parent emits a leaf in place and calls ``_visit`` only
-    for a node with a target left to try.
+    counted by its parent, with all of its prunes, right after the move
+    that makes it, so the counters only grow as the search goes on; the
+    parent emits a leaf in place and calls ``_visit`` only for a node
+    with a target left to try.
 
     Moving vertex v from cut ``cur`` to target t adds |t_i - cur_i| copies
     of vector i, so the targets within the multiplicity cap form a box:
@@ -224,14 +229,19 @@ class Search:
         """Search the subtrees of the anchor cuts ``anchor_indices`` (into
         ``anchor_cuts``).  The root, the anchor at zero cut and sum, has
         all of ``lam`` in its box and takes its tasks' cuts in list order,
-        as any node takes its targets."""
+        as any node takes its targets.  The node past ``config.node_limit``
+        is counted and unwinds the search, which sets ``stats.complete``
+        False and is spent: its partial graph stays as the limit left it."""
         targets = self._targets
         mask = 0
         for li in anchor_indices:
             mask |= 1 << targets.index(self.anchor_cuts[li])
         pruned = mask & self._negative[0, 0] if 0 < self._low_sum else 0
         self.stats.prunes_negative_sum += pruned.bit_count()
-        self._visit(0, (), mask ^ pruned, (1 << len(targets)) - 1, pruned)
+        try:
+            self._visit(0, (), mask ^ pruned)
+        except _NodeLimit:
+            self.stats.complete = False
 
     @property
     def edges(self) -> dict[int, int]:
@@ -246,11 +256,9 @@ class Search:
 
     # -- search core --------------------------------------------------
 
-    def _visit(self, v: int, rest, mask: int, box: int, pruned: int) -> None:
+    def _visit(self, v: int, rest, mask: int) -> None:
         """Move the front vertex v, to-do list ``rest`` after it, to each
-        target of ``mask`` in list order; count, emit or expand each child.
-        ``box`` is v's ``_box_mask`` and ``pruned`` the part of it that the
-        negative-sum prune removed; the caller counted both."""
+        target of ``mask`` in list order; count, emit or expand each child."""
         stats = self.stats
         limit = self.config.node_limit
         targets = self._targets
@@ -261,12 +269,11 @@ class Search:
         while mask:
             low = mask & -mask
             mask ^= low
-            j = low.bit_length() - 1
-            child = self._apply(v, targets[j], rest)
+            child = self._apply(v, targets[low.bit_length() - 1], rest)
             stats.nodes_expanded += 1
             if limit is not None and stats.nodes_expanded > limit:
-                stats.complete = False
-            elif not child:
+                raise _NodeLimit
+            if not child:
                 self._emit()
             else:
                 w = child[0]
@@ -279,13 +286,8 @@ class Search:
                 stats.prunes_multiplicity += size - cbox.bit_count()
                 stats.prunes_negative_sum += cpruned.bit_count()
                 if cbox != cpruned:
-                    self._visit(w, child[1:], cbox ^ cpruned, cbox, cpruned)
+                    self._visit(w, child[1:], cbox ^ cpruned)
             self._undo()
-            if not stats.complete:
-                # a truncated search never tries the cuts after lam[j]
-                stats.prunes_multiplicity -= size - 1 - j - (box >> j + 1).bit_count()
-                stats.prunes_negative_sum -= (pruned >> j + 1).bit_count()
-                return
 
     def _box_mask(self, cur: int) -> int:
         """Bitmask over ``lam`` of the cuts a vertex with cut ``cur`` can

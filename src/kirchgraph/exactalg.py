@@ -220,8 +220,9 @@ def enumerate_bounded_cuts(sys: RowSystem, bound: int) -> list[tuple[int, ...]]:
     An integer member x of Row(R) has x[i] = q*a[i] on the identity
     block, so the rational coefficients a live on the (1/q)-grid inside
     the box [-bound/q, bound/q]^k.  Scanning that finite grid and keeping
-    the integer images is exhaustive.  Output is sorted lexicographically
-    and includes the zero vector.
+    the integer images is exhaustive.  The output includes the zero
+    vector and is sorted lexicographically as it is made: ``product``
+    yields the first k entries in lex order, and they fix the rest.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -238,5 +239,4 @@ def enumerate_bounded_cuts(sys: RowSystem, bound: int) -> list[tuple[int, ...]]:
             tail.append(v)
         else:
             out.append(t + tuple(tail))
-    out.sort()
     return out

@@ -139,11 +139,12 @@ def _fold(start: VectorGraph, placements) -> VectorGraph:
     """``start`` with each placement's copies added or removed at once,
     in turn; a sign that is not a nonzero int raises ValueError.
 
-    The running multiset folds into one edge dict through ``_place``.  A
-    graph is built, on a copy of the dict, and checked only where
-    ``_place`` finds no theorem for the verdict, and the check raises
-    KirchhoffViolation unless the graph is Kirchhoff or empty; so after
-    the first placement the running graph is Kirchhoff or empty.
+    The running multiset folds into one edge dict through ``_place``.
+    Where ``_place`` finds no theorem for the verdict, a throwaway graph
+    over the live dict is checked, and the check raises
+    KirchhoffViolation unless the graph is Kirchhoff or empty.  So after
+    each placement the running graph is Kirchhoff or empty, and the
+    result, built once at the end, is "ok" or "trivial" by its edges.
     An "ok" verdict implies vector 2-connectivity: every row of
     N = [C; -qI] is nonzero (no zero row of C), so cycle vectors that
     span Null(R) cover every coordinate.
@@ -159,23 +160,18 @@ def _fold(start: VectorGraph, placements) -> VectorGraph:
     edges = dict(start._edges)
     copies = list(start.multiplicity().counts)
     verified = start.is_kirchhoff().status in _KIRCHHOFF
-    result = start
     for p in placements:
         _require_same_system(start, p.graph)
         if type(p.sign) is not int or not p.sign:
             raise ValueError(f"sign {p.sign!r} is not a nonzero int")
-        result = None
         if not _place(edges, copies, p.graph, p.offset, p.sign, verified):
-            result = VectorGraph._built(system, dict(edges))
-            verdict = result.is_kirchhoff()
+            verdict = VectorGraph._built(system, edges).is_kirchhoff()
             if verdict.status not in _KIRCHHOFF:
                 context = "sum" if p.sign > 0 else "difference"
                 raise KirchhoffViolation(f"{context} produced a non-Kirchhoff graph: {verdict}")
         verified = True
-    if result is None:
-        verdict = KirchhoffVerdict("ok" if edges else "trivial")
-        result = VectorGraph._built(system, edges, verdict=verdict)
-    return result
+    verdict = KirchhoffVerdict("ok" if edges else "trivial")
+    return VectorGraph._built(system, edges, verdict=verdict)
 
 
 def add(g1: VectorGraph, g2: VectorGraph, offset: Coord) -> VectorGraph:

@@ -193,23 +193,15 @@ class VectorGraph:
 
     # -- cuts and multiplicity --------------------------------------
 
-    @cached_property
-    def _cuts(self) -> dict[Coord, tuple[int, ...]]:
-        n = self.system.n
-        heads = self._heads
-        cuts: dict[Coord, list[int]] = {v: [0] * n for v in self.vertices}
-        for key, count in self._edges.items():
-            tail, idx = key
-            cuts[tail][idx] += count
-            cuts[heads[key]][idx] -= count
-        return {v: tuple(c) for v, c in cuts.items()}
-
     def vertex_cut(self, v: Coord) -> tuple[int, ...]:
-        """Net exit count per edge vector at v (exits minus entries)."""
+        """Net exit count per edge vector at the vertex v: edge (v, i)
+        leaves v, and edge (v - column i, i) enters it."""
         v = tuple(v)
-        if v not in self._cuts:
+        if v not in self.vertices:
             raise KeyError(f"{v} is not a vertex of this graph")
-        return self._cuts[v]
+        edges = self._edges
+        return tuple(edges.get((v, i), 0) - edges.get((tuple(map(sub, v, col)), i), 0)
+                     for i, col in enumerate(self.system.columns))
 
     def multiplicity(self) -> Multiplicity:
         counts = [0] * self.system.n
@@ -261,7 +253,7 @@ class VectorGraph:
             synd[head] -= step
         for v, x in synd.items():
             if x:
-                return KirchhoffVerdict("bad_vertex", vertex=v, cut=self._cuts[v])
+                return KirchhoffVerdict("bad_vertex", vertex=v, cut=self.vertex_cut(v))
         present = sorted({idx for _, idx in self._edges})
         if len(present) == sysm.n:
             return KirchhoffVerdict("ok")

@@ -3,7 +3,7 @@ import json
 import weakref
 from functools import lru_cache
 from itertools import product
-from operator import sub
+from operator import le, sub
 
 import pytest
 from hypothesis import given, settings
@@ -562,32 +562,51 @@ def test_node_limit_flags_incomplete():
     assert not stats.complete
     full = set(keys(enumerate_kirchhoff(square_system(), SearchConfig(m_max=2))[0]))
     assert set(keys(graphs)) <= full
-    # A truncated run counts only the multiplicity prunes of the cuts it
-    # reached before the limit.
+    # A truncated run counts the prunes of every node it made, the one
+    # past the limit excepted.
     _, stats = enumerate_kirchhoff(square_system(), SearchConfig(m_max=4, node_limit=1500))
-    assert stats == SearchStats(1501, 57507, 371, 50, 23, complete=False)
+    assert stats == SearchStats(1501, 57575, 377, 50, 23, complete=False)
 
 
 @pytest.mark.parametrize(
     "rows, m_max, limit, prune, expected",
     [
-        (SQUARE, 4, 50, True, (51, 1854, 31, 1, 1)),
-        (SQUARE, 4, 300, True, (301, 11075, 82, 18, 13)),
-        (SQUARE, 4, 300, False, (301, 11647, 0, 8, 8)),
-        (SQUARE, 4, 1500, True, (1501, 57507, 371, 50, 23)),
-        (STEEP, 6, 500, True, (501, 27456, 101, 6, 6)),
-        (STEEP, 6, 2000, True, (2001, 110938, 388, 10, 9)),
-        (STEEP, 6, 2000, False, (2001, 111687, 0, 4, 4)),
-        (STEEP, 6, 5000, True, (5001, 278412, 772, 13, 11)),
+        (SQUARE, 4, 50, True, (51, 1927, 39, 1, 1)),
+        (SQUARE, 4, 300, True, (301, 11183, 92, 18, 13)),
+        (SQUARE, 4, 300, False, (301, 11664, 0, 8, 8)),
+        (SQUARE, 4, 1500, True, (1501, 57575, 377, 50, 23)),
+        (STEEP, 6, 500, True, (501, 27554, 127, 6, 6)),
+        (STEEP, 6, 2000, True, (2001, 111037, 413, 10, 9)),
+        (STEEP, 6, 2000, False, (2001, 111757, 0, 4, 4)),
+        (STEEP, 6, 5000, True, (5001, 278492, 797, 13, 11)),
     ],
 )
 def test_truncated_search_stats_are_pinned(rows, m_max, limit, prune, expected):
-    # A truncated run counts only the prunes of the targets it reached
-    # before the limit, in list order at every node on the path to the
-    # last node counted.  The square limit of 300 is the CI smoke step's.
+    # A node's prunes are counted, all at once, by the parent that makes
+    # it; the node past the limit is counted and stops the search before
+    # its prunes are.  The square limit of 300 is the CI smoke step's.
     config = SearchConfig(m_max=m_max, node_limit=limit, prune_negative_sum=prune)
     _, stats = enumerate_kirchhoff(build_row_system(rows), config)
     assert stats == SearchStats(*expected, complete=False)
+
+
+@pytest.mark.parametrize("rows, m_max", [(SQUARE, 3), (TRIANGLE, 2)])
+def test_every_node_limit_truncates_a_prefix_of_the_search(rows, m_max):
+    # The limit stops the search at the node past it: the graphs and the
+    # counters only grow with the limit, and at the full node count the
+    # run is the complete one.
+    system = build_row_system(rows)
+    full, complete = enumerate_kirchhoff(system, SearchConfig(m_max=m_max))
+    before, prunes = set(), (0, 0)
+    for limit in range(1, complete.nodes_expanded + 1):
+        graphs, stats = enumerate_kirchhoff(system, SearchConfig(m_max=m_max, node_limit=limit))
+        found = set(keys(graphs))
+        now = stats.prunes_multiplicity, stats.prunes_negative_sum
+        assert before <= found and all(map(le, prunes, now))
+        if limit < complete.nodes_expanded:
+            assert not stats.complete and stats.nodes_expanded == limit + 1
+        before, prunes = found, now
+    assert stats == complete and found == set(keys(full))
 
 
 @pytest.mark.parametrize("rows, m_max", [(TRIANGLE, 4), (CUBE, 2), (DECOMPOSABLE, 1)])

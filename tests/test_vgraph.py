@@ -1,4 +1,5 @@
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,39 @@ def test_cut_entries_sum_to_zero_vector():
         for i, x in enumerate(g.vertex_cut(v)):
             total[i] += x
     assert total == [0, 0, 0]
+
+
+def summed_cut(g, v):
+    """v's cut summed over every edge: + count where v is the tail, - count
+    where v is the head."""
+    cut = [0] * g.system.n
+    for (tail, i), c in g.edge_items():
+        head = tuple(map(add, tail, g.system.columns[i]))
+        cut[i] += c * ((tail == v) - (head == v))
+    return tuple(cut)
+
+
+@pytest.mark.parametrize("rows, m_max", [(TRIANGLE, 2), (CUBE, 1)], ids=["triangle-m2", "cube-m1"])
+def test_vertex_cut_sums_the_edges_at_the_vertex(rows, m_max):
+    # At every vertex of two censuses, and at the bad vertex of each census
+    # graph with one count raised or one key dropped.
+    sys = build_row_system(rows)
+    graphs, _ = enumerate_kirchhoff(sys, SearchConfig(m_max=m_max))
+    assert graphs
+    for g in graphs:
+        for v in g.vertices:
+            assert g.vertex_cut(v) == summed_cut(g, v)
+        with pytest.raises(KeyError):
+            g.vertex_cut((0,) * (sys.k + 1))
+        items = g.edge_items()
+        for key, count in items:
+            for changed in (count + 1, 0):
+                edges = dict(items)
+                edges[key] = changed
+                bad = VectorGraph(sys, edges)
+                verdict = bad.is_kirchhoff()
+                assert verdict.status == "bad_vertex"
+                assert verdict.cut == bad.vertex_cut(verdict.vertex) == summed_cut(bad, verdict.vertex)
 
 
 # -- cycle vectors ----------------------------------------------------------
